@@ -2,7 +2,7 @@
 
 from .program import (Atom, Universe, Rule, Program, ProgramTuple,
                       parse_program, render_program, render_rule,
-                      concat_tuple, atoms_of, ParseError, MixedUniverseError)
+                      concat_tuple, ParseError, MixedUniverseError)
 from .semantics import (Semantics, HTInterpretation, satisfies, gl_reduct,
                         lpmln_reduct, stable_models, weight_degree,
                         ht_satisfies, ht_models, equivalent,
@@ -17,8 +17,7 @@ from .transforms import (TransformKind, PreservationClass, apply_transform,
 from .discovery import (SearchReport, RunConfig, is_semi_valid,
                         base_name_universe, sic2_excluded,
                         verify_and_compute_mgse, mnse_insert_minimal,
-                        discover, discover_basic, discover_improved,
-                        discover_conjectural, KNOWN_COUNTS)
+                        discover, KNOWN_COUNTS)
 from .simplify import (Clique, SimplifiedCondition, SimplifyResult, cis,
                        sis_irrelevant_partition, find_max_cliques, simplify,
                        condition_holds, sim_holds)

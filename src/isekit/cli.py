@@ -16,16 +16,31 @@ import time
 
 from .program import Universe, parse_program, render_program, ParseError
 from .semantics import Semantics, equivalent, CapExceededError
-from .discovery import (KNOWN_COUNTS, RunConfig, SearchReport, discover)
+from .discovery import KNOWN_COUNTS, CheckpointError, RunConfig, SearchReport, discover
 from .simplify import simplify
 from .transforms import TransformKind, apply_transform
 from .program import concat_tuple
 
 
-def _default_jobs() -> int:
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _jobs(args) -> int:
+    """--jobs, else SE_DISCOVERY_JOBS, else the CPUs this process may use."""
+    if args.jobs is not None:
+        if args.jobs < 1:
+            raise ValueError("--jobs must be >= 1")
+        return args.jobs
     env = os.environ.get("SE_DISCOVERY_JOBS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"SE_DISCOVERY_JOBS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -38,8 +53,7 @@ def cmd_check(args) -> int:
             q = parse_program(f.read(), uni)
         verdict, witness = equivalent(p, q, Semantics(args.semantics))
     except (OSError, ParseError, CapExceededError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _error(e)
     if verdict:
         print("equivalent")
         return 0
@@ -51,22 +65,19 @@ def cmd_check(args) -> int:
 def cmd_discover(args) -> int:
     shape = (args.k, args.m, args.n)
     if sum(shape) > 10:
-        print("error: shapes beyond 10 rules are unsupported", file=sys.stderr)
-        return 2
-    config = RunConfig(
-        jobs=args.jobs if args.jobs is not None else _default_jobs(),
-        max_layer=args.max_layer,
-        drop_i5=False if args.keep_i5 else None,
-        mode=args.mode,
-        out_path=args.out,
-        checkpoint_path=args.checkpoint,
-    )
+        return _error("shapes beyond 10 rules are unsupported")
     t0 = time.monotonic()
     try:
-        report = discover(shape, config, basic=args.basic)
-    except CapExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        config = RunConfig(
+            jobs=_jobs(args),
+            max_layer=args.max_layer,
+            drop_i5=False if args.keep_i5 else None,
+            mode=args.mode,
+            checkpoint_path=args.checkpoint,
+        )
+        report = discover(shape, config)
+    except (ValueError, CapExceededError, CheckpointError) as e:
+        return _error(e)
     elapsed = time.monotonic() - t0
     payload = report.dumps()
     if args.out:
@@ -83,9 +94,11 @@ def cmd_simplify(args) -> int:
         with open(args.report) as f:
             report = SearchReport.from_json(json.load(f))
     except (OSError, json.JSONDecodeError, KeyError) as e:
-        print(f"error: bad report: {e}", file=sys.stderr)
-        return 2
-    result = simplify(report.mgic)
+        return _error(f"bad report: {e}")
+    try:
+        result = simplify(report.mgic)
+    except ValueError as e:
+        return _error(e)
     sys.stdout.write(json.dumps(result.to_json(), sort_keys=True,
                                 separators=(",", ":")) + "\n")
     for d in result.disjuncts:
@@ -102,8 +115,7 @@ def cmd_transform(args) -> int:
         T2 = apply_transform(T, TransformKind(args.op), args.iset,
                              atom=args.atom, fresh=args.fresh)
     except (OSError, ParseError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _error(e)
     sys.stdout.write(render_program(T2.programs[0]))
     return 0
 
@@ -115,7 +127,10 @@ def cmd_regress(args) -> int:
         shapes = [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1)]
     else:
         shapes = [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1), (1, 2, 0), (1, 1, 1)]
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
+    try:
+        jobs = _jobs(args)
+    except ValueError as e:
+        return _error(e)
     failures = 0
     for shape in shapes:
         expect = KNOWN_COUNTS[shape]
@@ -157,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("k", type=int)
     d.add_argument("m", type=int)
     d.add_argument("n", type=int)
-    d.add_argument("--basic", action="store_true", help="plain subset enumeration")
     d.add_argument("--mode", choices=["sound", "conjectural"], default="sound")
     d.add_argument("--jobs", type=int, default=None)
     d.add_argument("--max-layer", type=int, default=None)

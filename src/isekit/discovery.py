@@ -2,15 +2,17 @@
 
 A k-m-n problem asks which conditions on the independent sets of a tuple
 T = <K, M, N> (k, m, n rules) force K∪M and K∪N to be equivalent for every
-instantiation. Conditions are explored layer by layer (layer i = conditions
-with i non-empty sets), each candidate is verified on its canonical tuple,
-failures are kept as minimal non-SE-conditions and prune deeper layers.
+instantiation. A condition (nis, sis) is verified on its canonical instance,
+built straight from the octal digits of its set names.
 
-Three entry points:
-  discover_basic        plain subset enumeration (tiny shapes)
-  discover_improved     filtered name universe, layered pruned search, sound
-  discover_conjectural  verifies only the first k+m+n layers, classifies the
-                        rest by the observed minimality/singleton regularities
+`discover(shape, RunConfig(mode=...))` is the one entry point:
+  sound        explores conditions layer by layer (layer i = conditions with
+               i non-empty sets); failures are kept as minimal
+               non-SE-conditions and prune deeper layers
+  conjectural  verifies only the first k+m+n layers and classifies the rest
+               by the observed minimality/singleton regularities
+Shapes of at most one rule enumerate every subset of their (at most 7)
+names instead, since layered pruning is unsound there.
 """
 from __future__ import annotations
 
@@ -18,18 +20,15 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .program import Program, popcount
-from .semantics import Semantics, equivalent, DEFAULT_POW3_CAP
-from .isets import ISCondition, canonical_tuple, locals_from_name, make_condition
-from .transforms import TransformKind, apply_transform
+from .program import Program
+from .semantics import Semantics, equivalent
+from .isets import ISCondition, canonical_rules, locals_from_name, make_condition
 
-
-class SearchSpaceError(RuntimeError):
-    pass
+CHECKPOINT_FORMAT = 2   # part of the log's config hash: bump to reject older logs
 
 
 class CheckpointError(RuntimeError):
@@ -40,18 +39,13 @@ class CheckpointError(RuntimeError):
 class RunConfig:
     jobs: int = 1
     max_layer: Optional[int] = None
-    pow3_cap: int = DEFAULT_POW3_CAP
     drop_i5: Optional[bool] = None   # default: drop when k+m+n > 2
     mode: str = "sound"
-    out_path: Optional[str] = None
     checkpoint_path: Optional[str] = None
-    restrict: bool = False           # basic search over the filtered universe
 
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.pow3_cap < 1:
-            raise ValueError("caps must be positive")
 
 
 @dataclass
@@ -124,11 +118,6 @@ def is_semi_valid(r) -> bool:
     return bool((b & c) & ~h) or not (h & ~(b | c)) or bool((h & b) & ~c) or bool(h & b & c)
 
 
-def full_name_universe(shape) -> list[int]:
-    n = sum(shape)
-    return list(range(1, 1 << (3 * n)))
-
-
 def base_name_universe(shape, drop_i5: Optional[bool] = None) -> list[int]:
     """Names with no 3/6/7 local digit (and no 5 for the larger shapes)."""
     n = sum(shape)
@@ -142,66 +131,52 @@ def base_name_universe(shape, drop_i5: Optional[bool] = None) -> list[int]:
     return out
 
 
+def _head_cover(name: int, n_rules: int) -> int:
+    """Rule positions (one bit each) where the name's local digit is 4."""
+    cover = 0
+    for k in range(n_rules):
+        if (name >> (3 * k)) & 7 == 4:
+            cover |= 1 << k
+    return cover
+
+
 def sic2_excluded(c: ISCondition) -> bool:
     """True iff some rule position has no non-empty name with local digit 4."""
-    n = c.n_rules
     covered = 0
     for v in c.nis:
-        for k, d in enumerate(locals_from_name(v, n)):
-            if d == 4:
-                covered |= 1 << k
-    return covered != (1 << n) - 1
+        covered |= _head_cover(v, c.n_rules)
+    return covered != (1 << c.n_rules) - 1
 
 
-def split_tuple(T, shape) -> tuple[Program, Program]:
-    """K∪M and K∪N programs of a <K, M, N> tuple."""
-    K, M, N = T.programs
-    km = Program(rules=K.rules + M.rules, universe=T.universe)
-    kn = Program(rules=K.rules + N.rules, universe=T.universe)
-    return km, kn
+def _canonical_se(shape, nis, sis, sem: Semantics) -> bool:
+    """Are K∪M and K∪N of the canonical instance of (nis, sis) equivalent?"""
+    rules = canonical_rules(shape, nis, sis)
+    k, m = shape[0], shape[1]
+    km = Program(rules=tuple(rules[:k + m]))
+    kn = Program(rules=tuple(rules[:k] + rules[k + m:]))
+    return equivalent(km, kn, sem)[0]
 
 
-def verify_and_compute_mgse(shape, IS_n, IS_s, sem: Semantics = Semantics.LPMLN,
-                            cap: int = DEFAULT_POW3_CAP) -> Optional[ISCondition]:
-    """Verify the condition on its canonical tuple; generalize the singletons.
+def verify_and_compute_mgse(shape, nis, sis,
+                            sem: Semantics = Semantics.LPMLN) -> Optional[ISCondition]:
+    """Verify the condition on its canonical instance; generalize the singletons.
 
-    Returns None if the tuple pair is inequivalent. Otherwise keeps a name in
-    sis only if growing that set with a fresh atom breaks the equivalence.
+    Returns None if that instance is not SE. Otherwise keeps a name s in sis
+    only if the instance of (nis, sis - {s}) is not SE: it is the canonical
+    one with I_s grown by a fresh atom, up to a renaming of atoms, and
+    HT-model equality does not change under renaming.
     """
-    IS_n = frozenset(IS_n)
-    IS_s = frozenset(IS_s)
-    if not IS_s <= IS_n:
-        raise ValueError("IS_s must be a subset of IS_n")
-    cond = ISCondition(shape=tuple(shape), nis=IS_n, sis=IS_s)
-    T = canonical_tuple(cond)
-    km, kn = split_tuple(T, shape)
-    ok, _ = equivalent(km, kn, sem, cap=cap)
-    if not ok:
+    cond = ISCondition(shape=tuple(shape), nis=frozenset(nis), sis=frozenset(sis))
+    if not _canonical_se(cond.shape, cond.nis, cond.sis, sem):
         return None
-    retained = []
-    for s in sorted(IS_s):
-        T2 = apply_transform(T, TransformKind.S_EX, s, fresh="y")
-        km2, kn2 = split_tuple(T2, shape)
-        ok2, _ = equivalent(km2, kn2, sem, cap=cap)
-        if not ok2:
-            retained.append(s)
-    return ISCondition(shape=tuple(shape), nis=IS_n, sis=frozenset(retained))
-
-
-_verify_cache: dict = {}
-
-
-def _verify_cached(shape, nis, sis, cap):
-    key = (tuple(shape), nis, sis)
-    if key not in _verify_cache:
-        _verify_cache[key] = verify_and_compute_mgse(shape, nis, sis, cap=cap)
-    return _verify_cache[key]
+    kept = [s for s in sorted(cond.sis)
+            if not _canonical_se(cond.shape, cond.nis, cond.sis - {s}, sem)]
+    return ISCondition(shape=cond.shape, nis=cond.nis, sis=frozenset(kept))
 
 
 def _worker_verify(args):
-    shape, nis, cap = args
-    names = frozenset(nis)
-    return nis, _verify_cached(shape, names, names, cap)
+    shape, nis = args
+    return nis, verify_and_compute_mgse(shape, nis, nis)
 
 
 def mnse_insert_minimal(mnse: list[ISCondition], c: ISCondition) -> list[ISCondition]:
@@ -216,30 +191,25 @@ def _sorted_conditions(conds):
     return sorted(conds, key=ISCondition.sort_key)
 
 
-def discover_basic(shape, config: Optional[RunConfig] = None) -> SearchReport:
-    """Enumerate every subset of the name universe as a singleton condition."""
-    config = config or RunConfig()
-    shape = tuple(shape)
-    names = base_name_universe(shape, config.drop_i5) if config.restrict else full_name_universe(shape)
-    if len(names) > 16:
-        raise SearchSpaceError(f"basic search over {len(names)} names is not tractable")
+def _discover_plain(shape, mode: str) -> SearchReport:
+    """Verify every subset of the full name universe as a singleton condition.
+
+    Only for shapes of at most one rule (at most 7 names). Layered pruning
+    would be unsound there: in 0-1-0, 56 supersets of the one minimal
+    failure {4} are SE.
+    """
+    names = list(range(1, 1 << (3 * sum(shape))))
     mgic: list[ISCondition] = []
     mnse: list[ISCondition] = []
-    verified = 0
     for size in range(0, len(names) + 1):
         for combo in combinations(names, size):
-            verified += 1
-            res = verify_and_compute_mgse(shape, combo, combo, cap=config.pow3_cap)
+            res = verify_and_compute_mgse(shape, combo, combo)
             if res is not None:
                 mgic.append(res)
             else:
                 mnse = mnse_insert_minimal(mnse, make_condition(shape, combo))
-    stats = {
-        "is": (1 << (3 * sum(shape))) - 1,
-        "is_prime": len(names) if config.restrict else None,
-        "is_dprime": None,
-        "verified": verified,
-    }
+    stats = {"is": len(names), "is_prime": None, "is_dprime": None,
+             "verified": 1 << len(names)}
     return SearchReport(
         shape=shape,
         mgic=_sorted_conditions(mgic),
@@ -247,7 +217,7 @@ def discover_basic(shape, config: Optional[RunConfig] = None) -> SearchReport:
         tr=len(names),
         max_nse=max((len(c.sis) for c in mnse), default=0),
         stats=stats,
-        mode="sound",
+        mode=mode,
     )
 
 
@@ -261,21 +231,13 @@ def _layer_candidates(names: list[int], i: int, n_rules: int,
     suffix check instead of being enumerated to the leaves.
     """
     full = (1 << n_rules) - 1
-
-    def cover_of(v):
-        c = 0
-        for k, d in enumerate(locals_from_name(v, n_rules)):
-            if d == 4:
-                c |= 1 << k
-        return c
-
-    names = sorted(names, key=lambda v: (cover_of(v) == 0, v))
+    names = sorted(names, key=lambda v: (_head_cover(v, n_rules) == 0, v))
     index = {v: idx for idx, v in enumerate(names)}
     masks = []
     for e in mnse_sets:
         if all(v in index for v in e):
             masks.append(sum(1 << index[v] for v in e))
-    cover = [cover_of(v) for v in names]
+    cover = [_head_cover(v, n_rules) for v in names]
     suffix = [0] * (len(names) + 1)
     for idx in range(len(names) - 1, -1, -1):
         suffix[idx] = suffix[idx + 1] | cover[idx]
@@ -310,7 +272,7 @@ def _config_hash(shape, config: RunConfig) -> str:
             "mode": config.mode,
             "drop_i5": config.drop_i5,
             "max_layer": config.max_layer,
-            "restrict": config.restrict,
+            "format": CHECKPOINT_FORMAT,
         },
         sort_keys=True,
     )
@@ -318,7 +280,11 @@ def _config_hash(shape, config: RunConfig) -> str:
 
 
 class _Checkpoint:
-    """Append-only JSON-lines log of completed layers, validated on resume."""
+    """Append-only JSON-lines log of completed layers, validated on resume.
+
+    An unterminated last line is a torn write: it is ignored on load and cut
+    off before the next append.
+    """
 
     def __init__(self, path: Optional[str], shape, config: RunConfig):
         self.path = path
@@ -326,18 +292,25 @@ class _Checkpoint:
         self.shape = list(shape)
         self.base = None
         self.layers: list[dict] = []
+        self.has_header = False
+        self.torn_at: Optional[int] = None
         if path and os.path.exists(path):
             self._load()
 
     def _load(self):
-        with open(self.path) as f:
-            lines = [json.loads(s) for s in f if s.strip()]
+        with open(self.path, "rb") as f:
+            data = f.read()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            self.torn_at = end
+        lines = [json.loads(s) for s in data[:end].splitlines() if s.strip()]
         if not lines:
             return
         head = lines[0]
         if head.get("kind") != "header" or head.get("shape") != self.shape \
                 or head.get("config") != self.hash:
             raise CheckpointError(f"checkpoint {self.path} does not match this run")
+        self.has_header = True
         for rec in lines[1:]:
             if rec["kind"] == "base":
                 self.base = rec
@@ -347,11 +320,14 @@ class _Checkpoint:
     def _append(self, rec: dict):
         if not self.path:
             return
-        new = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
         with open(self.path, "a") as f:
-            if new:
+            if self.torn_at is not None:
+                f.truncate(self.torn_at)
+                self.torn_at = None
+            if not self.has_header:
                 f.write(json.dumps({"kind": "header", "shape": self.shape,
                                     "config": self.hash}) + "\n")
+                self.has_header = True
             f.write(json.dumps(rec) + "\n")
 
     def record_base(self, is2, mnse, verified):
@@ -370,14 +346,14 @@ class _Checkpoint:
         self.layers.append(rec)
 
 
-def _discover_layered(shape, config: RunConfig, conjectural: bool) -> SearchReport:
+def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
+    config = config or RunConfig()
     shape = tuple(shape)
+    conjectural = config.mode == "conjectural"
+    mode = "conjectural" if conjectural else "sound"
     total = sum(shape)
     if total <= 1:
-        # the filtered search space is degenerate for single-rule problems
-        rep = discover_basic(shape, RunConfig(pow3_cap=config.pow3_cap))
-        rep.mode = "conjectural" if conjectural else "sound"
-        return rep
+        return _discover_plain(shape, mode)
 
     is_all = (1 << (3 * total)) - 1
     is_prime = base_name_universe(shape, config.drop_i5)
@@ -393,7 +369,7 @@ def _discover_layered(shape, config: RunConfig, conjectural: bool) -> SearchRepo
         is2 = []
         for x in is_prime:
             verified += 1
-            res = _verify_cached(shape, frozenset([x]), frozenset([x]), config.pow3_cap)
+            res = verify_and_compute_mgse(shape, (x,), (x,))
             if res is not None:
                 is2.append(x)
             else:
@@ -430,7 +406,7 @@ def _discover_layered(shape, config: RunConfig, conjectural: bool) -> SearchRepo
                             ISCondition(shape=shape, nis=nis, sis=frozenset(nis & sis_pool)))
                 else:
                     verified += len(cands)
-                    args = [(shape, cand, config.pow3_cap) for cand in cands]
+                    args = [(shape, cand) for cand in cands]
                     if pool is not None:
                         chunk = max(1, len(args) // (config.jobs * 4) or 1)
                         results = pool.map(_worker_verify, args, chunksize=chunk)
@@ -475,25 +451,8 @@ def _discover_layered(shape, config: RunConfig, conjectural: bool) -> SearchRepo
         tr=tr,
         max_nse=max((len(c.sis) for c in mnse), default=0),
         stats=stats,
-        mode="conjectural" if conjectural else "sound",
+        mode=mode,
     )
-
-
-def discover_improved(shape, config: Optional[RunConfig] = None) -> SearchReport:
-    return _discover_layered(shape, config or RunConfig(), conjectural=False)
-
-
-def discover_conjectural(shape, config: Optional[RunConfig] = None) -> SearchReport:
-    return _discover_layered(shape, config or RunConfig(), conjectural=True)
-
-
-def discover(shape, config: Optional[RunConfig] = None, basic: bool = False) -> SearchReport:
-    config = config or RunConfig()
-    if basic:
-        return discover_basic(shape, config)
-    if config.mode == "conjectural":
-        return discover_conjectural(shape, config)
-    return discover_improved(shape, config)
 
 
 # reference counts for the verified problem sizes, used by the regression CLI

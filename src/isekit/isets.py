@@ -10,9 +10,9 @@ overlaps, 0 = absent from that rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .program import Program, ProgramTuple, Rule, Universe, bits, popcount
+from .program import Program, ProgramTuple, Rule, Universe, bits
 
 
 class ShapeMismatchError(ValueError):
@@ -62,6 +62,32 @@ def extract_isets(T: ProgramTuple) -> dict[int, int]:
     return out
 
 
+def _rules_of(n_rules: int, assignment: dict[int, int]) -> list[Rule]:
+    """Rules in which each atom mask of the assignment forms the set it is keyed by."""
+    heads = [0] * n_rules
+    pbodies = [0] * n_rules
+    nbodies = [0] * n_rules
+    for name, mask in assignment.items():
+        for k in range(n_rules):
+            d = (name >> (3 * (n_rules - 1 - k))) & 7
+            if d & 4:
+                heads[k] |= mask
+            if d & 2:
+                pbodies[k] |= mask
+            if d & 1:
+                nbodies[k] |= mask
+    return [Rule(heads[k], pbodies[k], nbodies[k]) for k in range(n_rules)]
+
+
+def _tuple_of(universe: Universe, sizes: tuple[int, ...], rules: list[Rule]) -> ProgramTuple:
+    programs = []
+    i = 0
+    for size in sizes:
+        programs.append(Program(rules=tuple(rules[i:i + size]), universe=universe))
+        i += size
+    return ProgramTuple(programs=tuple(programs), segment_sizes=sizes, universe=universe)
+
+
 def reconstruct_tuple(universe: Universe, segment_sizes: Iterable[int],
                       assignment: dict[int, int]) -> ProgramTuple:
     """Inverse of extract_isets for a given shape."""
@@ -75,24 +101,7 @@ def reconstruct_tuple(universe: Universe, segment_sizes: Iterable[int],
         if seen & mask:
             raise ValueError("assignment masks must be pairwise disjoint")
         seen |= mask
-    heads = [0] * n
-    pbodies = [0] * n
-    nbodies = [0] * n
-    for name, mask in assignment.items():
-        for k, d in enumerate(locals_from_name(name, n)):
-            if d & 4:
-                heads[k] |= mask
-            if d & 2:
-                pbodies[k] |= mask
-            if d & 1:
-                nbodies[k] |= mask
-    rules = [Rule(heads[k], pbodies[k], nbodies[k]) for k in range(n)]
-    programs = []
-    i = 0
-    for size in sizes:
-        programs.append(Program(rules=tuple(rules[i:i + size]), universe=universe))
-        i += size
-    return ProgramTuple(programs=tuple(programs), segment_sizes=sizes, universe=universe)
+    return _tuple_of(universe, sizes, _rules_of(n, assignment))
 
 
 @dataclass(frozen=True)
@@ -143,19 +152,26 @@ def make_condition(shape, nis, sis=None) -> ISCondition:
     return ISCondition(shape=tuple(shape), nis=nis, sis=sis)
 
 
-def canonical_tuple(c: ISCondition) -> ProgramTuple:
-    """Smallest witness tuple: 1 fresh atom per sis name, 2 per other nis name."""
-    universe = Universe()
+def canonical_rules(shape, nis, sis) -> list[Rule]:
+    """Rules of the smallest witness tuple of the condition (nis, sis).
+
+    Each sis name gets 1 atom and every other nis name 2; atom ids are dense,
+    handed out in ascending name order.
+    """
     assignment: dict[int, int] = {}
     j = 0
-    for name in sorted(c.nis):
-        count = 1 if name in c.sis else 2
-        mask = 0
-        for _ in range(count):
-            mask |= 1 << universe.intern(f"x{j}")
-            j += 1
-        assignment[name] = mask
-    return reconstruct_tuple(universe, c.shape, assignment)
+    for name in sorted(nis):
+        width = 1 if name in sis else 2
+        assignment[name] = ((1 << width) - 1) << j
+        j += width
+    return _rules_of(sum(shape), assignment)
+
+
+def canonical_tuple(c: ISCondition) -> ProgramTuple:
+    """canonical_rules as a tuple over the atoms x0, x1, ..."""
+    rules = canonical_rules(c.shape, c.nis, c.sis)
+    width = sum(1 if name in c.sis else 2 for name in c.nis)
+    return _tuple_of(Universe(f"x{j}" for j in range(width)), tuple(c.shape), rules)
 
 
 def relation(c1: ISCondition, c2: ISCondition) -> str:

@@ -169,10 +169,6 @@ def concat_tuple(programs: list[Program]) -> ProgramTuple:
     )
 
 
-def atoms_of(obj) -> int:
-    return obj.atoms()
-
-
 def _tokenize(line: str, lineno: int):
     toks = []
     pos = 0

@@ -8,7 +8,6 @@ import pytest
 
 import isekit as ik
 from isekit import Semantics, TransformKind
-from isekit.discovery import split_tuple
 from isekit.semantics import HTInterpretation
 
 ASP = Semantics.ASP
@@ -229,8 +228,16 @@ def _first_atom(universe, mask):
     return universe.names[(mask & -mask).bit_length() - 1]
 
 
-def _tuple_equivalent(T, shape):
-    km, kn = split_tuple(T, shape)
+def split_tuple(T):
+    """K∪M and K∪N programs of a <K, M, N> tuple."""
+    K, M, N = T.programs
+    km = ik.Program(rules=K.rules + M.rules, universe=T.universe)
+    kn = ik.Program(rules=K.rules + N.rules, universe=T.universe)
+    return km, kn
+
+
+def _tuple_equivalent(T):
+    km, kn = split_tuple(T)
     return ik.equivalent(km, kn, LPMLN)[0]
 
 
@@ -248,7 +255,7 @@ def _check_preservation_matrix(shape, conds, expect_equiv):
             skipped += 1
             continue
         T = ik.canonical_tuple(c)
-        assert _tuple_equivalent(T, shape) == expect_equiv
+        assert _tuple_equivalent(T) == expect_equiv
         assignment = ik.extract_isets(T)
         exhaustive = bin(T.atoms()).count("1") <= 14
         done = set()
@@ -274,7 +281,7 @@ def _check_preservation_matrix(shape, conds, expect_equiv):
                 if not claim:
                     continue
                 T2 = ik.apply_transform(T, kind, name, **kwargs)
-                assert _tuple_equivalent(T2, shape) == expect_equiv, \
+                assert _tuple_equivalent(T2) == expect_equiv, \
                     f"{kind.value} on I_{name} of {sorted(c.nis)} flipped the verdict"
     assert skipped <= total * 0.10, f"too many over-cap tuples: {skipped}/{total}"
 
@@ -356,12 +363,12 @@ def test_criterion_10_conjectural_matches_sound(sound_reports):
     with criterion(10):
         for shape in [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1)]:
             sound, _ = sound_reports[shape]
-            conj = ik.discover_conjectural(shape)
+            conj = ik.discover(shape, ik.RunConfig(mode="conjectural"))
             assert conj.same_findings(sound)
 
 
 def test_criterion_11_parallel_determinism(sound_reports):
     with criterion(11):
-        one = ik.discover_improved((0, 1, 1), ik.RunConfig(jobs=1))
-        eight = ik.discover_improved((0, 1, 1), ik.RunConfig(jobs=8))
+        one = ik.discover((0, 1, 1), ik.RunConfig(jobs=1))
+        eight = ik.discover((0, 1, 1), ik.RunConfig(jobs=8))
         assert one.dumps() == eight.dumps()

@@ -100,3 +100,35 @@ def test_regress_single_shape(capsys):
     assert main(["regress", "--shapes", "0-1-0", "--jobs", "1"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS 0-1-0")
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_discover_checkpoint_of_other_shape(tmp_path, capsys):
+    ck = str(tmp_path / "ck.jsonl")
+    assert main(["discover", "0", "1", "1", "--jobs", "1", "--checkpoint", ck]) == 0
+    capsys.readouterr()
+    assert main(["discover", "1", "1", "0", "--jobs", "1", "--checkpoint", ck]) == 2
+    assert_one_error_line(capsys)
+
+
+def test_bad_job_counts(monkeypatch, capsys):
+    assert main(["regress", "--shapes", "0-1-0", "--jobs", "0"]) == 2
+    assert_one_error_line(capsys)
+    monkeypatch.setenv("SE_DISCOVERY_JOBS", "two")
+    assert main(["discover", "0", "1", "0"]) == 2
+    assert_one_error_line(capsys)
+    assert main(["regress", "--shapes", "0-1-0"]) == 2
+    assert_one_error_line(capsys)
+
+
+def test_simplify_over_clique_cap(tmp_path, capsys):
+    shape = (1, 1, 1)
+    report = ik.SearchReport(shape=shape, mgic=[ik.make_condition(shape, range(1, 16))],
+                             mnse=[], tr=15, max_nse=0, stats={})
+    path = write(tmp_path, "big.json", report.dumps())
+    assert main(["simplify", path]) == 2
+    assert_one_error_line(capsys)

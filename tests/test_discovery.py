@@ -1,11 +1,12 @@
 """Condition search: filters, verification, enumeration, checkpoints."""
 
 import json
+import random
 
 import pytest
 
 import isekit as ik
-from isekit.discovery import full_name_universe, _layer_candidates
+from isekit.discovery import CheckpointError, _layer_candidates
 
 
 def rule_of(text):
@@ -23,7 +24,6 @@ def test_is_semi_valid():
 
 
 def test_full_and_filtered_universe_sizes():
-    assert len(full_name_universe((0, 1, 0))) == 7
     assert len(ik.base_name_universe((0, 1, 1))) == 24
     assert len(ik.base_name_universe((1, 1, 0))) == 24
     assert len(ik.base_name_universe((0, 2, 1))) == 63
@@ -98,11 +98,6 @@ def test_basic_counts_single_fact_problem(sound_reports):
     assert report.max_nse == 1
 
 
-def test_basic_guard_on_large_spaces():
-    with pytest.raises(ik.discovery.SearchSpaceError):
-        ik.discover_basic((0, 1, 1))
-
-
 def test_layer_candidates_respects_coverage_and_failures():
     names = [36, 9, 18, 33]
     # layer 1: only names covering both rules with a head-only digit survive
@@ -137,7 +132,7 @@ def test_report_json_round_trip(sound_reports):
 def test_conjectural_agrees_with_sound(sound_reports):
     for shape in [(0, 1, 1), (1, 1, 0)]:
         sound, _ = sound_reports[shape]
-        conj = ik.discover_conjectural(shape)
+        conj = ik.discover(shape, ik.RunConfig(mode="conjectural"))
         assert conj.mode == "conjectural"
         assert conj.same_findings(sound)
 
@@ -145,27 +140,90 @@ def test_conjectural_agrees_with_sound(sound_reports):
 def test_checkpoint_resume_reproduces_report(tmp_path, sound_reports):
     sound, _ = sound_reports[(0, 1, 1)]
     path = str(tmp_path / "ck.jsonl")
-    first = ik.discover_improved((0, 1, 1), ik.RunConfig(checkpoint_path=path))
+    first = ik.discover((0, 1, 1), ik.RunConfig(checkpoint_path=path))
     assert first.dumps() == sound.dumps()
     # a resumed run replays the log instead of re-verifying, byte-identically
-    again = ik.discover_improved((0, 1, 1), ik.RunConfig(checkpoint_path=path))
+    again = ik.discover((0, 1, 1), ik.RunConfig(checkpoint_path=path))
     assert again.dumps() == first.dumps()
 
 
 def test_checkpoint_rejects_other_run(tmp_path):
     path = str(tmp_path / "ck.jsonl")
-    ik.discover_improved((0, 1, 1), ik.RunConfig(checkpoint_path=path))
-    with pytest.raises(ik.discovery.CheckpointError):
-        ik.discover_improved((1, 1, 0), ik.RunConfig(checkpoint_path=path))
+    ik.discover((0, 1, 1), ik.RunConfig(checkpoint_path=path))
+    with pytest.raises(CheckpointError):
+        ik.discover((1, 1, 0), ik.RunConfig(checkpoint_path=path))
 
 
 def test_max_layer_marks_partial():
-    report = ik.discover_improved((0, 1, 1), ik.RunConfig(max_layer=2))
+    report = ik.discover((0, 1, 1), ik.RunConfig(max_layer=2))
     assert report.stats.get("partial") is True
     assert all(len(c.nis) <= 2 for c in report.mgic)
 
 
 def test_parallel_run_is_byte_identical(sound_reports):
     sound, _ = sound_reports[(0, 1, 1)]
-    parallel = ik.discover_improved((0, 1, 1), ik.RunConfig(jobs=4))
+    parallel = ik.discover((0, 1, 1), ik.RunConfig(jobs=4))
     assert parallel.dumps() == sound.dumps()
+
+
+def _oracle_verify(shape, nis, sis, sem):
+    """The tuple route: canonical tuple, K∪M vs K∪N, then S-EX per singleton."""
+    def se(T):
+        K, M, N = T.programs
+        km = ik.Program(rules=K.rules + M.rules, universe=T.universe)
+        kn = ik.Program(rules=K.rules + N.rules, universe=T.universe)
+        return ik.equivalent(km, kn, sem)[0]
+
+    c = ik.make_condition(shape, nis, sis)
+    T = ik.canonical_tuple(c)
+    if not se(T):
+        return None
+    kept = {s for s in c.sis
+            if not se(ik.apply_transform(T, ik.TransformKind.S_EX, s, fresh="y"))}
+    return ik.make_condition(shape, c.nis, kept)
+
+
+def test_verify_matches_tuple_route_on_reports(sound_reports):
+    for shape in [(0, 1, 1), (1, 1, 0), (0, 2, 1)]:
+        report, _ = sound_reports[shape]
+        for c, expect_se in [(c, True) for c in report.mgic] + [(c, False) for c in report.mnse]:
+            for sem in (ik.Semantics.ASP, ik.Semantics.LPMLN):
+                got = ik.verify_and_compute_mgse(shape, c.nis, c.nis, sem)
+                assert got == _oracle_verify(shape, c.nis, c.nis, sem), (shape, c, sem)
+                if sem is ik.Semantics.LPMLN:
+                    assert got == (c if expect_se else None)
+
+
+def test_verify_matches_tuple_route_on_random_conditions():
+    rng = random.Random(29)
+    shapes = [(0, 1, 1), (1, 1, 0), (1, 0, 1), (0, 2, 1), (1, 2, 0), (1, 1, 1)]
+    seen_se = 0
+    for _ in range(200):
+        shape = rng.choice(shapes)
+        nis = rng.sample(range(1, 1 << (3 * sum(shape))), rng.randint(1, 5))
+        sis = [v for v in nis if rng.random() < 0.5]
+        for sem in (ik.Semantics.ASP, ik.Semantics.LPMLN):
+            got = ik.verify_and_compute_mgse(shape, nis, sis, sem)
+            assert got == _oracle_verify(shape, nis, sis, sem), (shape, nis, sis, sem)
+            seen_se += got is not None
+    assert seen_se >= 40  # both verdicts are exercised
+
+
+def test_checkpoint_drops_torn_tail(tmp_path, sound_reports):
+    sound, _ = sound_reports[(0, 1, 1)]
+    path = tmp_path / "ck.jsonl"
+    ik.discover((0, 1, 1), ik.RunConfig(checkpoint_path=str(path)))
+    log = path.read_bytes()
+    lines = log.splitlines(keepends=True)
+    # a crash mid-write: header, base and layer 1, then half of layer 2
+    torn = b"".join(lines[:3]) + lines[3][:len(lines[3]) // 2]
+    path.write_bytes(torn)
+    with pytest.raises(CheckpointError):
+        ik.discover((1, 1, 0), ik.RunConfig(checkpoint_path=str(path)))
+    again = ik.discover((0, 1, 1), ik.RunConfig(checkpoint_path=str(path)))
+    assert again.dumps() == sound.dumps()
+    assert path.read_bytes() == log
+    # a torn header alone leaves nothing to resume
+    path.write_bytes(lines[0][:10])
+    assert ik.discover((0, 1, 1), ik.RunConfig(checkpoint_path=str(path))).dumps() == sound.dumps()
+    assert path.read_bytes() == log

@@ -162,12 +162,12 @@ def test_concat_tuple_mixed_universe():
 def test_atoms_of():
     u = ik.Universe()
     p = ik.parse_program("a | b | d :- b, c, not c.", u)
-    assert sorted(u.mask_names(ik.atoms_of(p))) == ["a", "b", "c", "d"]
+    assert sorted(u.mask_names(p.atoms())) == ["a", "b", "c", "d"]
     u2 = ik.Universe()
     p2 = ik.parse_program("a | c.\nb.", u2)
     q2 = ik.parse_program("a | b | c.\na | c :- b.\nb :- a, c.", u2)
     T = ik.concat_tuple([p2, q2])
-    assert sorted(u2.mask_names(ik.atoms_of(T))) == ["a", "b", "c"]
+    assert sorted(u2.mask_names(T.atoms())) == ["a", "b", "c"]
     assert ik.concat_tuple([]).atoms() == 0
 
 
