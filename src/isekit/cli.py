@@ -62,6 +62,20 @@ def cmd_check(args) -> int:
     return 1
 
 
+def _write_replacing(path: str, text: str):
+    """Write to a temp file in the same directory, then rename it into place,
+    so that path holds either its old content or all of the new."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def cmd_discover(args) -> int:
     shape = (args.k, args.m, args.n)
     if sum(shape) > 10:
@@ -81,8 +95,10 @@ def cmd_discover(args) -> int:
     elapsed = time.monotonic() - t0
     payload = report.dumps()
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(payload)
+        try:
+            _write_replacing(args.out, payload)
+        except OSError as e:
+            return _error(e)
     else:
         sys.stdout.write(payload)
     print(f"{report.summary_line()} ({elapsed:.1f}s)", file=sys.stderr)

@@ -3,7 +3,8 @@
 A k-m-n problem asks which conditions on the independent sets of a tuple
 T = <K, M, N> (k, m, n rules) force K∪M and K∪N to be equivalent for every
 instantiation. A condition (nis, sis) is verified on its canonical instance,
-built straight from the octal digits of its set names.
+by a search over the here-and-there states of its set names
+(`isets.CanonicalSearch`).
 
 `discover(shape, RunConfig(mode=...))` is the one entry point:
   sound        explores conditions layer by layer (layer i = conditions with
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .program import Program
-from .semantics import Semantics, equivalent
-from .isets import ISCondition, canonical_rules, locals_from_name, make_condition
+from .semantics import Semantics
+from .isets import CanonicalSearch, ISCondition, locals_from_name, make_condition
 
 CHECKPOINT_FORMAT = 2   # part of the log's config hash: bump to reject older logs
 
@@ -148,15 +148,6 @@ def sic2_excluded(c: ISCondition) -> bool:
     return covered != (1 << c.n_rules) - 1
 
 
-def _canonical_se(shape, nis, sis, sem: Semantics) -> bool:
-    """Are K∪M and K∪N of the canonical instance of (nis, sis) equivalent?"""
-    rules = canonical_rules(shape, nis, sis)
-    k, m = shape[0], shape[1]
-    km = Program(rules=tuple(rules[:k + m]))
-    kn = Program(rules=tuple(rules[:k] + rules[k + m:]))
-    return equivalent(km, kn, sem)[0]
-
-
 def verify_and_compute_mgse(shape, nis, sis,
                             sem: Semantics = Semantics.LPMLN) -> Optional[ISCondition]:
     """Verify the condition on its canonical instance; generalize the singletons.
@@ -164,13 +155,15 @@ def verify_and_compute_mgse(shape, nis, sis,
     Returns None if that instance is not SE. Otherwise keeps a name s in sis
     only if the instance of (nis, sis - {s}) is not SE: it is the canonical
     one with I_s grown by a fresh atom, up to a renaming of atoms, and
-    HT-model equality does not change under renaming.
+    HT-model equality does not change under renaming. The condition is
+    compiled once; each question only changes the start domains.
     """
     cond = ISCondition(shape=tuple(shape), nis=frozenset(nis), sis=frozenset(sis))
-    if not _canonical_se(cond.shape, cond.nis, cond.sis, sem):
+    search = CanonicalSearch(cond.shape, cond.nis, sem)
+    start = search.domains(cond.sis)
+    if not search.equivalent(start):
         return None
-    kept = [s for s in sorted(cond.sis)
-            if not _canonical_se(cond.shape, cond.nis, cond.sis - {s}, sem)]
+    kept = [s for s in sorted(cond.sis) if not search.equivalent(search.grow(start, s))]
     return ISCondition(shape=cond.shape, nis=cond.nis, sis=frozenset(kept))
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .program import Program, ProgramTuple, Rule, Universe, bits
+from .semantics import Semantics
 
 
 class ShapeMismatchError(ValueError):
@@ -62,8 +63,9 @@ def extract_isets(T: ProgramTuple) -> dict[int, int]:
     return out
 
 
-def _rules_of(n_rules: int, assignment: dict[int, int]) -> list[Rule]:
-    """Rules in which each atom mask of the assignment forms the set it is keyed by."""
+def _rule_masks(n_rules: int, assignment: dict[int, int]) -> list[tuple[int, int, int]]:
+    """(head, pbody, nbody) of the rules in which each atom mask of the
+    assignment forms the set it is keyed by."""
     heads = [0] * n_rules
     pbodies = [0] * n_rules
     nbodies = [0] * n_rules
@@ -76,7 +78,7 @@ def _rules_of(n_rules: int, assignment: dict[int, int]) -> list[Rule]:
                 pbodies[k] |= mask
             if d & 1:
                 nbodies[k] |= mask
-    return [Rule(heads[k], pbodies[k], nbodies[k]) for k in range(n_rules)]
+    return list(zip(heads, pbodies, nbodies))
 
 
 def _tuple_of(universe: Universe, sizes: tuple[int, ...], rules: list[Rule]) -> ProgramTuple:
@@ -101,7 +103,7 @@ def reconstruct_tuple(universe: Universe, segment_sizes: Iterable[int],
         if seen & mask:
             raise ValueError("assignment masks must be pairwise disjoint")
         seen |= mask
-    return _tuple_of(universe, sizes, _rules_of(n, assignment))
+    return _tuple_of(universe, sizes, [Rule(*t) for t in _rule_masks(n, assignment)])
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,157 @@ def canonical_rules(shape, nis, sis) -> list[Rule]:
         width = 1 if name in sis else 2
         assignment[name] = ((1 << width) - 1) << j
         j += width
-    return _rules_of(sum(shape), assignment)
+    return [Rule(*t) for t in _rule_masks(sum(shape), assignment)]
+
+
+# --- name-level HT search -----------------------------------------------------
+#
+# An HT pair (X, Y) gives each atom a value: 0 (not in Y), 1 (in Y, not in X)
+# or 2 (in X). Whether a rule built from set names holds at the pair depends
+# only on each name's (lo, hi) = (least, greatest) value over its atoms. So a
+# name of a canonical instance ranges over the 6 states lo <= hi (its 2 atoms
+# realise them all), and a sis name, with 1 atom, over the 3 states lo == hi.
+# The states a name may still take form a 6-bit mask; the masks of all names
+# are packed into one int, 6 bits per name in ascending name order. A term is
+# a conjunction of per-name restrictions packed the same way, so applying it
+# is one AND, and it is unsatisfiable iff some 6-bit field ends up empty.
+
+_STATES = [(lo, hi) for lo in range(3) for hi in range(lo, 3)]
+
+
+def _states(test) -> int:
+    return sum(1 << i for i, (lo, hi) in enumerate(_STATES) if test(lo, hi))
+
+
+_ANY = (1 << len(_STATES)) - 1
+_ONE_ATOM = _states(lambda lo, hi: lo == hi)
+_SOME_Y = _states(lambda lo, hi: hi >= 1)
+_SOME_X = _states(lambda lo, hi: hi == 2)
+_ALL_Y = _states(lambda lo, hi: lo >= 1)
+_ALL_X = _states(lambda lo, hi: lo == 2)
+
+
+class CanonicalSearch:
+    """HT-equivalence of K∪M and K∪N in the canonical instances of one nis.
+
+    Rules are compiled from the octal digits of the names into DNF terms
+    over name states, with H, B and N a rule's head, positive-body and
+    negative-body names:
+      YH = some H name meets Y     XH = some H name meets X
+      BY = every B name within Y   BX = every B name within X
+      NY = some N name meets Y
+      holds     asp    NY or XH or not BY or (YH and not BX)
+                lpmln  NY or XH or not BX or (not YH and not NY and BY)
+      violated  asp    not NY and not XH and BY and (not YH or BX)
+                lpmln  YH and not NY and not XH and BX
+    The two programs differ iff some HT pair satisfies one and violates a
+    rule of the other that the first does not contain. `equivalent` looks for
+    such a pair by DFS over the terms; its cost grows with the number of
+    rules, not with 2^atoms.
+    """
+
+    def __init__(self, shape, nis, sem: Semantics):
+        # a set of names is kept as the sum of its fields' lowest bits, so
+        # the rules over the names are those of one "atom" per field bit
+        self.field = {v: 1 << (6 * i) for i, v in enumerate(sorted(nis))}
+        self.low = sum(self.field.values())
+        self.full = _ANY * self.low
+        rules = _rule_masks(sum(shape), self.field)
+        k, m = shape[0], shape[1]
+        km = list(dict.fromkeys(rules[:k + m]))
+        kn = list(dict.fromkeys(rules[:k] + rules[k + m:]))
+        self.sem = sem
+        self.holds: dict[tuple, list[int]] = {}   # filled on first use
+        # per direction: (violation terms of the rules only the other side
+        # has, the rules this side must satisfy)
+        self.directions = [
+            ([t for r in other if r not in side for t in self._violated(r)], side)
+            for side, other in ((km, kn), (kn, km))
+        ]
+
+    def _all(self, names: int, states: int) -> int:
+        """The term: every one of the names takes one of the states."""
+        return self.full ^ names * (_ANY ^ states)
+
+    def _some(self, names: int, states: int) -> list[int]:
+        """One term per name: that name takes one of the states."""
+        out = []
+        while names:
+            f = names & -names
+            out.append(self._all(f, states))
+            names ^= f
+        return out
+
+    def _holds(self, rule) -> list[int]:
+        """DNF terms of the rule holding, compiled on first use."""
+        terms = self.holds.get(rule)
+        if terms is not None:
+            return terms
+        H, B, N = rule
+        terms = self._some(N, _SOME_Y) + self._some(H, _SOME_X)
+        if self.sem is Semantics.ASP:
+            terms += self._some(B, _ANY ^ _ALL_Y)
+            terms += [h & b for h in self._some(H, _SOME_Y)
+                      for b in self._some(B, _ANY ^ _ALL_X)]   # never empty
+        else:
+            terms += self._some(B, _ANY ^ _ALL_X)
+            both = self._all(H | N, _ANY ^ _SOME_Y) & self._all(B, _ALL_Y)
+            terms += [both] if self._alive(both) else []
+        self.holds[rule] = terms
+        return terms
+
+    def _violated(self, rule) -> list[int]:
+        """DNF terms of the rule being violated."""
+        H, B, N = rule
+        base = self._all(N, _ANY ^ _SOME_Y) & self._all(H, _ANY ^ _SOME_X)
+        if self.sem is Semantics.ASP:
+            terms = [base & self._all(H, _ANY ^ _SOME_Y) & self._all(B, _ALL_Y),
+                     base & self._all(B, _ALL_X)]
+        else:
+            base &= self._all(B, _ALL_X)
+            terms = [base & h for h in self._some(H, _SOME_Y)]
+        return [t for t in terms if self._alive(t)]
+
+    def _alive(self, d: int) -> bool:
+        """Does every name keep at least one state?"""
+        d |= d >> 1
+        d |= d >> 2
+        d |= d >> 2
+        return d & self.low == self.low
+
+    def domains(self, sis) -> int:
+        """Start domains: one atom for each sis name, two for every other."""
+        return self._all(sum(self.field[v] for v in sis), _ONE_ATOM)
+
+    def grow(self, domains: int, name: int) -> int:
+        """Give the one-atom name only the states a second atom adds (lo < hi).
+
+        Every other state is one of the one-atom instance, so when that is SE
+        the search on these domains answers for the name with two atoms.
+        """
+        return domains ^ self.field[name] * _ANY
+
+    def equivalent(self, domains: int) -> bool:
+        """Does no HT pair within the domains tell the two programs apart?"""
+        for targets, side in self.directions:
+            for t in targets:
+                d = domains & t
+                if self._alive(d) and self._satisfiable(d, side, 0):
+                    return False
+        return True
+
+    def _satisfiable(self, d: int, rules: list[tuple], i: int) -> bool:
+        """Can every rule from rules[i] on hold within the domains d?"""
+        if i == len(rules):
+            return True
+        branches = []
+        for t in self._holds(rules[i]):
+            e = d & t
+            if e == d:
+                return self._satisfiable(d, rules, i + 1)   # already entailed
+            if self._alive(e):
+                branches.append(e)
+        return any(self._satisfiable(e, rules, i + 1) for e in branches)
 
 
 def canonical_tuple(c: ISCondition) -> ProgramTuple:

@@ -7,12 +7,22 @@ import pytest
 import isekit as ik
 
 
-@pytest.fixture(scope="session")
-def sound_reports():
-    """Sound-mode reports and wall times for the tractable problem sizes."""
+def _timed_sound_reports(shapes):
     out = {}
-    for shape in [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1)]:
+    for shape in shapes:
         t0 = time.monotonic()
         report = ik.discover(shape, ik.RunConfig(jobs=1))
         out[shape] = (report, time.monotonic() - t0)
     return out
+
+
+@pytest.fixture(scope="session")
+def sound_reports():
+    """Sound-mode reports and wall times for the small problem sizes."""
+    return _timed_sound_reports([(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1)])
+
+
+@pytest.fixture(scope="session")
+def large_sound_reports():
+    """Sound-mode reports and wall times for 1-2-0 and 1-1-1 (~10 s together)."""
+    return _timed_sound_reports([(1, 2, 0), (1, 1, 1)])

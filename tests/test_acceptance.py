@@ -4,8 +4,6 @@ import contextlib
 import itertools
 import random
 
-import pytest
-
 import isekit as ik
 from isekit import Semantics, TransformKind
 from isekit.semantics import HTInterpretation
@@ -83,14 +81,10 @@ def test_criterion_05_three_rule_counts(sound_reports):
         assert_counts(report, elapsed, 1800, ik.KNOWN_COUNTS[(0, 2, 1)])
 
 
-@pytest.mark.slow
-def test_criterion_06_large_shapes_sound():
-    import time
+def test_criterion_06_large_shapes_sound(large_sound_reports):
     with criterion(6):
         for shape in [(1, 2, 0), (1, 1, 1)]:
-            t0 = time.monotonic()
-            report = ik.discover(shape, ik.RunConfig(jobs=1))
-            elapsed = time.monotonic() - t0
+            report, elapsed = large_sound_reports[shape]
             assert_counts(report, elapsed, 4 * 3600, ik.KNOWN_COUNTS[shape])
 
 
@@ -359,10 +353,9 @@ def test_criterion_09_property_suites(sound_reports):
         _check_extension_oracle(random.Random(73))
 
 
-def test_criterion_10_conjectural_matches_sound(sound_reports):
+def test_criterion_10_conjectural_matches_sound(sound_reports, large_sound_reports):
     with criterion(10):
-        for shape in [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1)]:
-            sound, _ = sound_reports[shape]
+        for shape, (sound, _) in {**sound_reports, **large_sound_reports}.items():
             conj = ik.discover(shape, ik.RunConfig(mode="conjectural"))
             assert conj.same_findings(sound)
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats."""
 
 import json
+import os
 
 import pytest
 
@@ -59,6 +60,22 @@ def test_discover_out_file(tmp_path, capsys):
     assert main(["discover", "0", "1", "0", "--jobs", "1", "--out", out_path]) == 0
     report = ik.SearchReport.from_json(json.loads(open(out_path).read()))
     assert report.max_nse == 1
+
+
+def test_discover_out_file_replaces_whole(tmp_path, capsys):
+    assert main(["discover", "0", "1", "1", "--jobs", "1"]) == 0
+    stdout = capsys.readouterr().out
+    out_path = tmp_path / "report.json"
+    out_path.write_text("an older report\n")
+    assert main(["discover", "0", "1", "1", "--jobs", "1", "--out", str(out_path)]) == 0
+    assert out_path.read_text() == stdout
+    assert os.listdir(tmp_path) == ["report.json"]   # no temp file left behind
+    # an unwritable target is one error line, and leaves no temp file either
+    missing = tmp_path / "missing" / "report.json"
+    capsys.readouterr()
+    assert main(["discover", "0", "1", "1", "--jobs", "1", "--out", str(missing)]) == 2
+    assert_one_error_line(capsys)
+    assert os.listdir(tmp_path) == ["report.json"]
 
 
 def test_discover_rejects_huge_shape(capsys):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import isekit as ik
-from isekit.isets import locals_from_name, name_from_locals
+from isekit.isets import CanonicalSearch, canonical_rules, locals_from_name, name_from_locals
 
 
 def test_locals_from_name_single_rule():
@@ -185,3 +185,92 @@ def test_condition_sort_key_orders_by_size_then_content():
     cs.sort(key=lambda c: c.sort_key())
     assert [sorted(c.nis) for c in cs] == [[4], [9, 36], [9, 36]]
     assert sorted(cs[1].sis) == [9]
+
+
+# --- the name-level HT search against the bigint kernel -----------------------
+
+SHAPES = [(0, 1, 0), (0, 1, 1), (0, 2, 1), (1, 0, 1), (1, 1, 0), (1, 2, 0),
+          (1, 1, 1), (2, 1, 1)]
+
+
+def bigint_se(shape, rules, sem):
+    """`equivalent` on the K∪M and K∪N slices of a tuple's rules."""
+    k, m = shape[0], shape[1]
+    km = ik.Program(rules=tuple(rules[:k + m]))
+    kn = ik.Program(rules=tuple(rules[:k] + rules[k + m:]))
+    return ik.equivalent(km, kn, sem)[0]
+
+
+def random_condition(rng, shape):
+    """1-5 names drawn from all of the shape's names, overlap digits included."""
+    nis = rng.sample(range(1, 1 << (3 * sum(shape))), rng.randint(1, 5))
+    return nis, [v for v in nis if rng.random() < 0.5]
+
+
+@pytest.mark.parametrize("sem", list(ik.Semantics), ids=lambda s: s.value)
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_search_matches_bigint_kernel(shape, sem):
+    rng = random.Random(f"{shape} {sem.value}")
+    verdicts = set()
+    overlaps = 0
+    for _ in range(100):
+        nis, sis = random_condition(rng, shape)
+        search = CanonicalSearch(shape, nis, sem)
+        got = search.equivalent(search.domains(sis))
+        assert got == bigint_se(shape, canonical_rules(shape, nis, sis), sem), (nis, sis)
+        verdicts.add(got)
+        overlaps += any(d in (3, 5, 6, 7) for v in nis for d in locals_from_name(v, sum(shape)))
+    assert verdicts == {True, False}
+    assert overlaps >= 20
+
+
+@pytest.mark.parametrize("sem", list(ik.Semantics), ids=lambda s: s.value)
+def test_grown_singleton_matches_bigint_kernel(sem):
+    """On an SE condition, `grow` answers for the singleton with two atoms.
+
+    Load-bearing singletons are rare, so the names come from the overlap-free
+    universes of the 3- and 4-rule shapes. There asp has some (x0 forced both
+    in and out by ":- x0." and ":- not x0."), lpmln about 1 in 300.
+    """
+    rng = random.Random(f"grow {sem.value}")
+    pools = {shape: ik.base_name_universe(shape) for shape in SHAPES if sum(shape) >= 3}
+    verdicts = []
+    while len(verdicts) < 300:
+        shape = rng.choice(sorted(pools))
+        nis = rng.sample(pools[shape], rng.randint(1, 4))
+        search = CanonicalSearch(shape, nis, sem)
+        start = search.domains(nis)
+        if not search.equivalent(start):
+            continue
+        for s in nis:
+            got = search.equivalent(search.grow(start, s))
+            rules = canonical_rules(shape, nis, [v for v in nis if v != s])
+            assert got == bigint_se(shape, rules, sem), (shape, nis, s)
+            verdicts.append(got)
+    assert verdicts.count(False) >= (10 if sem is ik.Semantics.ASP else 1)
+
+
+@pytest.mark.parametrize("sem", list(ik.Semantics), ids=lambda s: s.value)
+def test_three_atom_set_keeps_the_verdict(sem):
+    """Three atoms in a set realise no (lo, hi) state that two do not."""
+    rng = random.Random(f"widen {sem.value}")
+    verdicts = set()
+    for _ in range(150):
+        shape = rng.choice(SHAPES)
+        nis, sis = random_condition(rng, shape)
+        wide = [v for v in nis if v not in sis]
+        if not wide:
+            continue
+        widths = {v: 1 if v in sis else 2 for v in nis}
+        widths[rng.choice(wide)] = 3
+        assignment, j = {}, 0
+        for v in sorted(nis):
+            assignment[v] = ((1 << widths[v]) - 1) << j
+            j += widths[v]
+        T = ik.reconstruct_tuple(ik.Universe(f"x{i}" for i in range(j)), shape, assignment)
+        rules = [r for p in T.programs for r in p.rules]
+        search = CanonicalSearch(shape, nis, sem)
+        got = search.equivalent(search.domains(sis))
+        assert got == bigint_se(shape, rules, sem), (shape, nis, sis, widths)
+        verdicts.add(got)
+    assert verdicts == {True, False}

@@ -233,22 +233,45 @@ def test_asp_ht_models_subset_of_lpmln():
         assert ik.ht_models(p, 15, ASP) <= ik.ht_models(p, 15, LPMLN)
 
 
+def _sparse_rule(rng, n_atoms):
+    """A rule with 0-3 atoms in each of head, positive and negative body."""
+    def pick():
+        return sum(1 << a for a in rng.sample(range(n_atoms), rng.randrange(4)))
+    return ik.Rule(pick(), pick(), pick())
+
+
 @pytest.mark.parametrize("sem", [ASP, LPMLN])
 def test_equivalent_agrees_with_ht_model_sets(sem):
+    """The bigint kernel against HT-model sets on universes of 3 to 7 atoms.
+
+    q is p plus one rule: a copy of a rule of p with one more positive body
+    atom (HT-entailed, so the pair is equivalent) or a fresh sparse rule.
+    """
     rng = random.Random(41)
-    for _ in range(60):
-        u = ik.Universe()
-        for i in range(3):
-            u.intern(f"v{i}")
-        p = ik.Program(rules=_random_rules(rng, 3, rng.randrange(0, 3)), universe=u)
-        q = ik.Program(rules=_random_rules(rng, 3, rng.randrange(0, 3)), universe=u)
-        joint = p.atoms() | q.atoms()
-        verdict, witness = ik.equivalent(p, q, sem)
-        assert verdict == (ik.ht_models(p, joint, sem) == ik.ht_models(q, joint, sem))
-        if not verdict:
-            in_p = all(ik.ht_satisfies(witness, r, sem) for r in p.rules)
-            in_q = all(ik.ht_satisfies(witness, r, sem) for r in q.rules)
-            assert in_p != in_q
+    for n in range(3, 8):
+        u = ik.Universe(f"v{i}" for i in range(n))
+        verdicts = set()
+        widths = []
+        for _ in range(60):
+            p = ik.Program(rules=tuple(_sparse_rule(rng, n) for _ in range(rng.randrange(5))),
+                           universe=u)
+            if p.rules and rng.random() < 0.4:
+                r = rng.choice(p.rules)
+                extra = ik.Rule(r.head, r.pbody | 1 << rng.randrange(n), r.nbody)
+            else:
+                extra = _sparse_rule(rng, n)
+            q = ik.Program(rules=p.rules + (extra,), universe=u)
+            joint = p.atoms() | q.atoms()
+            widths.append(joint.bit_count())
+            verdict, witness = ik.equivalent(p, q, sem)
+            assert verdict == (ik.ht_models(p, joint, sem) == ik.ht_models(q, joint, sem))
+            if not verdict:
+                in_p = all(ik.ht_satisfies(witness, r, sem) for r in p.rules)
+                in_q = all(ik.ht_satisfies(witness, r, sem) for r in q.rules)
+                assert in_p != in_q
+            verdicts.add(verdict)
+        assert verdicts == {True, False}, n
+        assert widths.count(n) >= 15, (n, widths)   # the kernel scans all n atoms
 
 
 def test_ht_interpretation_requires_subset():
