@@ -109,12 +109,9 @@ def cmd_simplify(args) -> int:
     try:
         with open(args.report) as f:
             report = SearchReport.from_json(json.load(f))
-    except (OSError, json.JSONDecodeError, KeyError) as e:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         return _error(f"bad report: {e}")
-    try:
-        result = simplify(report.mgic)
-    except ValueError as e:
-        return _error(e)
+    result = simplify(report.mgic)
     sys.stdout.write(json.dumps(result.to_json(), sort_keys=True,
                                 separators=(",", ":")) + "\n")
     for d in result.disjuncts:

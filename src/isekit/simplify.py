@@ -11,18 +11,18 @@ verbatim as residual disjuncts, so the output is always complete.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .isets import ISCondition
-
-MAX_CLIQUE_NIS = 14  # cube recursion memoizes over 3^|nis(max)| splits
 
 
 @dataclass(frozen=True)
 class Clique:
+    """The cube [low, max_member.nis]: one member per nis between the two."""
+
     members: tuple[ISCondition, ...]
     max_member: ISCondition
+    low: frozenset[int]
 
     def member_keys(self) -> frozenset:
         return frozenset(c.nis for c in self.members)
@@ -113,114 +113,95 @@ def sis_irrelevant_partition(mgic: Iterable[ISCondition]) -> list[list[ISConditi
     return subsets
 
 
-def find_max_cliques(subset: Iterable[ISCondition],
-                     max_nis: int = MAX_CLIQUE_NIS) -> list[Clique]:
-    """All maximal cliques of a SIS-irrelevant condition set."""
-    conds = list(subset)
-    if not conds:
-        return []
-    index: dict[frozenset, ISCondition] = {c.nis: c for c in conds}
-    # candidate maxes: conditions maximal under nis inclusion
-    maxes = [c for c in conds
-             if not any(c.nis < d.nis for d in conds)]
+def _mask(names) -> int:
+    m = 0
+    for v in names:
+        m |= 1 << v
+    return m
+
+
+def find_max_cliques(subset: Iterable[ISCondition]) -> list[Clique]:
+    """All maximal cliques of a SIS-irrelevant condition set.
+
+    Every maximal clique is a cube [low, U] under a maximal condition U (a
+    top). For a top with singletons S, a free set F = U − nis collects the
+    members below U whose sis is nis ∩ S; [U − F, U] is a clique iff every
+    subset of F is such a free set. Free sets are visited in ascending
+    integer order, so each F − {e} is decided before F, and the cost is
+    linear in the members under U. Tops form an antichain and the low
+    corners of one top do too, so no clique found here contains another.
+    """
+    by_mask = {_mask(c.nis): c for c in subset}
+    tops: list[int] = []
+    for n in sorted(by_mask, key=int.bit_count, reverse=True):
+        if not any(n & ~t == 0 for t in tops):
+            tops.append(n)
     cliques: list[Clique] = []
-    for top in maxes:
-        if len(top.nis) > max_nis:
-            raise ValueError(
-                f"clique search over |nis|={len(top.nis)} exceeds cap {max_nis}")
-        smax = top.sis
-        U = top.nis
-
-        @lru_cache(maxsize=None)
-        def cube_ok(low: frozenset, free: frozenset) -> bool:
-            if not free:
-                c = index.get(low)
-                return c is not None and c.sis == low & smax
-            d = min(free)
-            rest = free - {d}
-            return cube_ok(low, rest) and cube_ok(low | {d}, rest)
-
-        # walk down from U collecting minimal valid low corners
-        minimal: set[frozenset] = set()
-        seen: set[frozenset] = set()
-        stack = [U]
-        while stack:
-            low = stack.pop()
-            if low in seen:
-                continue
-            seen.add(low)
-            shrinkable = False
-            for e in low:
-                cand = low - {e}
-                if cube_ok(cand, U - cand):
-                    shrinkable = True
-                    stack.append(cand)
-            if not shrinkable:
-                minimal.add(low)
-        cube_ok.cache_clear()
-        for low in minimal:
-            free = sorted(U - low)
+    for U in tops:
+        top = by_mask[U]
+        S = _mask(top.sis)
+        free_sets = sorted(U & ~n for n, c in by_mask.items()
+                           if n & ~U == 0 and _mask(c.sis) == n & S)
+        bits = [1 << v for v in top.nis]
+        valid: set[int] = set()
+        extendable: set[int] = set()
+        for F in free_sets:
+            drops = [F ^ b for b in bits if F & b]
+            if all(d in valid for d in drops):
+                valid.add(F)
+                extendable.update(drops)
+        for F in valid - extendable:
+            low = U & ~F
             members = []
-            for bitsel in range(1 << len(free)):
-                key = frozenset(low | {free[j] for j in range(len(free)) if bitsel >> j & 1})
-                members.append(index[key])
+            sub = F
+            while True:
+                members.append(by_mask[low | sub])
+                if not sub:
+                    break
+                sub = (sub - 1) & F
             members.sort(key=ISCondition.sort_key)
-            cliques.append(Clique(members=tuple(members), max_member=top))
-    # keep member-set-maximal cliques only, deduplicated
-    out: list[Clique] = []
-    keys = [c.member_keys() for c in cliques]
-    for i, c in enumerate(cliques):
-        ki = keys[i]
-        if any(ki < kj for kj in keys):
-            continue
-        if any(ki == o.member_keys() for o in out):
-            continue
-        out.append(c)
-    out.sort(key=lambda c: (-len(c.members), c.max_member.sort_key()))
-    return out
+            cliques.append(Clique(members=tuple(members), max_member=top, low=members[0].nis))
+    cliques.sort(key=_clique_order)
+    return cliques
+
+
+def _clique_order(c: Clique):
+    return (-len(c.members), c.max_member.sort_key(), sorted(c.low))
+
+
+def _cube_sim(low: frozenset[int], top: ISCondition) -> SimplifiedCondition:
+    return SimplifiedCondition(
+        nonempty=tuple(sorted(low)),
+        empty=tuple(v for v in range(1, 1 << (3 * top.n_rules)) if v not in top.nis),
+        at_most_one=tuple(sorted(top.sis)),
+    )
 
 
 def sim(clique: Clique) -> SimplifiedCondition:
-    members = list(clique.members)
-    shape = clique.max_member.shape
-    common_n = cis(members, "nonempty")
-    common_e = cis(members, "empty")
-    return SimplifiedCondition(
-        nonempty=tuple(sorted(common_n)),
-        empty=tuple(sorted(common_e)),
-        at_most_one=tuple(sorted(clique.max_member.sis)),
-    )
+    """The conjunction of a cube [low, U]: low non-empty, all names outside U
+    empty, and the top's singletons of size at most one."""
+    return _cube_sim(clique.low, clique.max_member)
 
 
 def condition_as_sim(c: ISCondition) -> SimplifiedCondition:
     """A lone condition rendered in the same conjunctive vocabulary."""
-    space = _name_space(c.shape)
-    return SimplifiedCondition(
-        nonempty=tuple(sorted(c.nis)),
-        empty=tuple(sorted(space - c.nis)),
-        at_most_one=tuple(sorted(c.sis)),
-    )
+    return _cube_sim(c.nis, c)
 
 
-def simplify(mgic: Iterable[ISCondition],
-             max_nis: int = MAX_CLIQUE_NIS) -> SimplifyResult:
+def simplify(mgic: Iterable[ISCondition]) -> SimplifyResult:
     conds = list(mgic)
     if not conds:
         return SimplifyResult(disjuncts=[], cliques=[], residual=[])
     cliques: list[Clique] = []
     for subset in sis_irrelevant_partition(conds):
-        cliques.extend(find_max_cliques(subset, max_nis=max_nis))
-    # global maximality across partition subsets + dedup
-    out: list[Clique] = []
-    keys = [c.member_keys() for c in cliques]
-    for i, c in enumerate(cliques):
-        ki = keys[i]
-        if any(ki < kj for kj in keys):
-            continue
-        if any(ki == o.member_keys() for o in out):
-            continue
-        out.append(c)
-    out.sort(key=lambda c: (-len(c.members), c.max_member.sort_key()))
+        cliques.extend(find_max_cliques(subset))
+    # keep cliques maximal across partition subsets, deduplicated; a cube
+    # holds another iff its interval [low, U] contains the other's
+    spans = {(c.low, c.max_member.nis): c for c in cliques}
+    out = sorted((c for (lo, hi), c in spans.items()
+                  if not any(l2 <= lo and hi <= h2 and (l2, h2) != (lo, hi)
+                             for l2, h2 in spans)),
+                 key=_clique_order)
     covered: set = set()
     for c in out:
         covered |= {m.nis for m in c.members}

@@ -97,6 +97,13 @@ def test_simplify_report(tmp_path, capsys):
 def test_simplify_bad_report(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", "{\"nope\": 1}")
     assert main(["simplify", bad]) == 2
+    assert_one_error_line(capsys)
+    report = ik.SearchReport(shape=(0, 1, 0), mgic=[ik.make_condition((0, 1, 0), {1})],
+                             mnse=[], tr=1, max_nse=0, stats={}).to_json()
+    report["mgic"][0]["nis"] = [1, 8]  # 8 is no set name of a one-rule shape
+    out_of_range = write(tmp_path, "range.json", json.dumps(report))
+    assert main(["simplify", out_of_range]) == 2
+    assert_one_error_line(capsys)
 
 
 def test_transform(tmp_path, capsys):
@@ -142,10 +149,12 @@ def test_bad_job_counts(monkeypatch, capsys):
     assert_one_error_line(capsys)
 
 
-def test_simplify_over_clique_cap(tmp_path, capsys):
+def test_simplify_fifteen_name_condition(tmp_path, capsys):
     shape = (1, 1, 1)
     report = ik.SearchReport(shape=shape, mgic=[ik.make_condition(shape, range(1, 16))],
                              mnse=[], tr=15, max_nse=0, stats={})
     path = write(tmp_path, "big.json", report.dumps())
-    assert main(["simplify", path]) == 2
-    assert_one_error_line(capsys)
+    assert main(["simplify", path]) == 0
+    out, err = capsys.readouterr()
+    assert len(json.loads(out)["disjuncts"]) == 1
+    assert err.count("\n") == 1

@@ -1,6 +1,9 @@
 """Clique compression of discovered condition families."""
 
 import itertools
+import json
+import random
+from functools import lru_cache
 
 import pytest
 
@@ -79,10 +82,144 @@ def test_clique_sizes_are_powers_of_two(sound_reports):
             assert n & (n - 1) == 0
 
 
-def test_clique_nis_cap():
-    big = frozenset(range(1, 16))
-    with pytest.raises(ValueError):
-        ik.find_max_cliques([ik.make_condition((1, 2, 2), big)], max_nis=14)
+def test_fifteen_name_condition_is_a_trivial_clique():
+    c = ik.make_condition((1, 1, 1), range(1, 16))
+    cliques = ik.find_max_cliques([c])
+    assert len(cliques) == 1 and cliques[0].members == (c,)
+    assert sim(cliques[0]) == condition_as_sim(c)
+
+
+def _oracle_cliques(conds):
+    """The cube walk from the top down, with a memo over 3^|nis| splits.
+
+    Returns (members, top) per maximal clique, ordered by size and top only;
+    ties keep the iteration order of a set of frozensets.
+    """
+    index = {c.nis: c for c in conds}
+    maxes = [c for c in conds if not any(c.nis < d.nis for d in conds)]
+    cliques = []
+    for top in maxes:
+        smax, U = top.sis, top.nis
+
+        @lru_cache(maxsize=None)
+        def cube_ok(low, free):
+            if not free:
+                c = index.get(low)
+                return c is not None and c.sis == low & smax
+            d = min(free)
+            rest = free - {d}
+            return cube_ok(low, rest) and cube_ok(low | {d}, rest)
+
+        minimal, seen, stack = set(), set(), [U]
+        while stack:
+            low = stack.pop()
+            if low in seen:
+                continue
+            seen.add(low)
+            shrinkable = False
+            for e in low:
+                cand = low - {e}
+                if cube_ok(cand, U - cand):
+                    shrinkable = True
+                    stack.append(cand)
+            if not shrinkable:
+                minimal.add(low)
+        for low in minimal:
+            free = sorted(U - low)
+            members = [index[low | {free[j] for j in range(len(free)) if bits >> j & 1}]
+                       for bits in range(1 << len(free))]
+            members.sort(key=ik.ISCondition.sort_key)
+            cliques.append((tuple(members), top))
+    keys = [frozenset(m.nis for m in ms) for ms, _ in cliques]
+    out, out_keys = [], []
+    for (ms, top), k in zip(cliques, keys):
+        if not any(k < o for o in keys) and k not in out_keys:
+            out.append((ms, top))
+            out_keys.append(k)
+    out.sort(key=lambda c: (-len(c[0]), c[1].sort_key()))
+    return out
+
+
+def _got_cliques(conds):
+    return [(c.members, c.max_member) for c in ik.find_max_cliques(conds)]
+
+
+def test_find_max_cliques_matches_cube_walk_on_reports(sound_reports):
+    for shape in [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1)]:
+        report, _ = sound_reports[shape]
+        for subset in ik.sis_irrelevant_partition(report.mgic):
+            assert _got_cliques(subset) == _oracle_cliques(subset), shape
+
+
+def _random_family(rng):
+    """A punctured union of subcubes over 4-8 names, sis from a small pool."""
+    names = rng.sample(range(1, 64), rng.randint(4, 8))
+    pool = [frozenset()] + [frozenset(rng.sample(names, rng.randint(1, 3)))
+                            for _ in range(2)]
+    family = {}
+    for _ in range(rng.randint(1, 3)):
+        top = rng.sample(names, rng.randint(1, len(names)))
+        low = rng.sample(top, rng.randint(0, len(top) - 1))
+        free = [v for v in top if v not in low]
+        for bits in range(1 << len(free)):
+            nis = frozenset(low) | {free[j] for j in range(len(free)) if bits >> j & 1}
+            if nis and rng.random() > 0.15:
+                family[nis] = nis & rng.choice(pool)
+    conds = [mk(nis, sis) for nis, sis in family.items()]
+    rng.shuffle(conds)
+    return conds
+
+
+def test_find_max_cliques_matches_cube_walk_on_random_families():
+    rng = random.Random(4242)
+    for _ in range(200):
+        conds = _random_family(rng)
+        want = sorted(_oracle_cliques(conds),
+                      key=lambda c: (-len(c[0]), c[1].sort_key(), sorted(c[0][0].nis)))
+        assert _got_cliques(conds) == want, [c.to_json() for c in conds]
+
+
+def _simplify_bytes(conds):
+    return json.dumps(ik.simplify(conds).to_json(), sort_keys=True, separators=(",", ":"))
+
+
+def test_simplify_ignores_input_order(sound_reports):
+    rng = random.Random(7)
+    for shape in [(0, 1, 0), (1, 1, 0)]:
+        report, _ = sound_reports[shape]
+        want = _simplify_bytes(report.mgic)
+        for _ in range(3):
+            shuffled = list(report.mgic)
+            rng.shuffle(shuffled)
+            assert _simplify_bytes(shuffled) == want, shape
+        assert _simplify_bytes(c for c in report.mgic) == want, shape
+
+
+def _mask(names):
+    return sum(1 << v for v in names)
+
+
+def test_simplify_three_rule_problem_is_exact(large_sound_reports):
+    """Sound 1-1-1 (39392 conditions, |nis| up to 15), support by support."""
+    report, _ = large_sound_reports[(1, 1, 1)]
+    result = ik.simplify(report.mgic)
+    assert len(result.disjuncts) == 19 and result.residual == []
+    family = {_mask(c.nis): _mask(c.sis) for c in report.mgic}
+    space = range(1, 1 << (3 * sum(report.shape)))
+    dis = [(_mask(d.nonempty), _mask(d.empty), _mask(d.at_most_one))
+           for d in result.disjuncts]
+    # every condition, at its canonical sizes (1 atom per sis name, 2 per
+    # other nis name), satisfies some disjunct
+    for n, s in family.items():
+        assert any(dn & ~n == 0 and de & n == 0 and ds & n & ~s == 0
+                   for dn, de, ds in dis), n
+    # every support a disjunct admits is a condition whose singletons the
+    # disjunct bounds
+    for dn, de, ds in dis:
+        free = [1 << v for v in space if not (dn | de) >> v & 1]
+        for bits in range(1 << len(free)):
+            n = dn | sum(b for j, b in enumerate(free) if bits >> j & 1)
+            assert n in family and family[n] & ~(n & ds) == 0, n
 
 
 def _space_names(shape, mgic):
