@@ -8,8 +8,8 @@ by a search over the here-and-there states of its set names
 
 `discover(shape, RunConfig(mode=...))` is the one entry point:
   sound        explores conditions layer by layer (layer i = conditions with
-               i non-empty sets); failures are kept as minimal
-               non-SE-conditions and prune deeper layers
+               i non-empty sets) built from layer i-1's SE sets; its
+               failures are the minimal non-SE-conditions
   conjectural  verifies only the first k+m+n layers and classifies the rest
                by the observed minimality/singleton regularities
 Shapes of at most one rule enumerate every subset of their (at most 7)
@@ -46,6 +46,8 @@ class RunConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.mode not in ("sound", "conjectural"):
+            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -215,47 +217,52 @@ def _discover_plain(shape, mode: str) -> SearchReport:
 
 
 def _layer_candidates(names: list[int], i: int, n_rules: int,
-                      mnse_sets: list[frozenset]) -> list[tuple[int, ...]]:
-    """Size-i subsets of names that cover every rule with a digit-4 name and
-    contain no recorded minimal failure; DFS with subtree pruning.
+                      prev_se: list[frozenset]) -> list[tuple[int, ...]]:
+    """Size-i sets of names that cover every rule with a digit-4 name and
+    hold no failure, given `prev_se`, the nis of layer i-1's SE sets.
 
-    Names that contribute coverage are explored first, so any branch that
-    wanders into coverage-free names before covering every rule is cut by the
-    suffix check instead of being enumerated to the leaves.
+    Failures are covered, so a covered S holds one iff some covered S - {u}
+    was not SE. S - {u} is covered unless u alone covers a rule; the other
+    names of S are spare. The minimal covers (no spare name, at most n_rules
+    names) are listed; every other S is built once, from S minus its largest
+    spare name, and kept iff S - {u} is in prev_se for every spare u.
     """
-    full = (1 << n_rules) - 1
-    names = sorted(names, key=lambda v: (_head_cover(v, n_rules) == 0, v))
+    names = sorted(names)
     index = {v: idx for idx, v in enumerate(names)}
-    masks = []
-    for e in mnse_sets:
-        if all(v in index for v in e):
-            masks.append(sum(1 << index[v] for v in e))
-    cover = [_head_cover(v, n_rules) for v in names]
-    suffix = [0] * (len(names) + 1)
-    for idx in range(len(names) - 1, -1, -1):
-        suffix[idx] = suffix[idx + 1] | cover[idx]
-    masks_with = [[m for m in masks if m >> idx & 1] for idx in range(len(names))]
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
+    coverers = [sum(1 << index[v] for v in names if _head_cover(v, n_rules) >> k & 1)
+                for k in range(n_rules)]
+    prev = {sum(1 << index[v] for v in nis) for nis in prev_se}
 
-    def dfs(start: int, idx_mask: int, covered: int, slots: int):
-        if slots == 0:
-            if covered == full:
-                out.append(tuple(sorted(chosen)))
-            return
-        for idx in range(start, len(names) - slots + 1):
-            if covered | suffix[idx] != full:
-                break  # later names cover even less
-            nmask = idx_mask | (1 << idx)
-            if any(m & ~nmask == 0 for m in masks_with[idx]):
-                continue  # contains a known minimal failure
-            chosen.append(names[idx])
-            dfs(idx + 1, nmask, covered | cover[idx], slots - 1)
-            chosen.pop()
+    def spare(s: int) -> int:
+        """The spare names of s, or -1 if s leaves a rule uncovered."""
+        free = s
+        for c in coverers:
+            c &= s
+            if not c:
+                return -1
+            if not c & (c - 1):
+                free &= ~c   # the one name covering this rule
+        return free
 
-    dfs(0, 0, 0, i)
-    out.sort()
-    return out
+    out: list[int] = []
+    if i <= n_rules:
+        cover_bits = [1 << idx for idx, v in enumerate(names) if _head_cover(v, n_rules)]
+        out += [s for s in map(sum, combinations(cover_bits, i)) if spare(s) == 0]
+    for t in prev:
+        for b in range(spare(t).bit_length(), len(names)):
+            bit = 1 << b
+            s = t | bit
+            others = spare(s) ^ bit   # b is spare in s, since t covers
+            if s == t or others > bit:
+                continue   # b is in t, or not the largest spare name of s
+            while others:
+                low = others & -others
+                if s ^ low not in prev:
+                    break
+                others ^= low
+            else:
+                out.append(s)
+    return sorted(tuple(v for idx, v in enumerate(names) if s >> idx & 1) for s in out)
 
 
 def _config_hash(shape, config: RunConfig) -> str:
@@ -343,12 +350,10 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
     config = config or RunConfig()
     shape = tuple(shape)
     conjectural = config.mode == "conjectural"
-    mode = "conjectural" if conjectural else "sound"
     total = sum(shape)
     if total <= 1:
-        return _discover_plain(shape, mode)
+        return _discover_plain(shape, config.mode)
 
-    is_all = (1 << (3 * total)) - 1
     is_prime = base_name_universe(shape, config.drop_i5)
     ckpt = _Checkpoint(config.checkpoint_path, shape, config)
 
@@ -366,7 +371,7 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
             if res is not None:
                 is2.append(x)
             else:
-                mnse = mnse_insert_minimal(mnse, make_condition(shape, [x]))
+                mnse.append(make_condition(shape, [x]))
         ckpt.record_base(is2, mnse, len(is_prime))
 
     names = sorted(is2)
@@ -378,25 +383,22 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
 
     pool = ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else None
     replay = {rec["i"]: rec for rec in ckpt.layers}
+    layer_mgic: list[ISCondition] = []
     try:
-        i = 0
-        while i < layer_hi:
-            i += 1
+        for i in range(1, layer_hi + 1):
             if i in replay:
                 rec = replay[i]
                 layer_mgic = [ISCondition.from_json(c) for c in rec["mgic"]]
                 layer_fail = [ISCondition.from_json(c) for c in rec["mnse_add"]]
                 verified += rec.get("verified", 0)
             else:
-                cands = _layer_candidates(names, i, total, [e.nis for e in mnse])
+                cands = _layer_candidates(names, i, total, [c.nis for c in layer_mgic])
                 layer_mgic, layer_fail = [], []
                 if conjectural and i > total:
-                    # deep layers: every pruned-surviving candidate is taken as
-                    # SE; its singletons come from the layer-2 harvest
-                    for cand in cands:
-                        nis = frozenset(cand)
-                        layer_mgic.append(
-                            ISCondition(shape=shape, nis=nis, sis=frozenset(nis & sis_pool)))
+                    # deep layers: every candidate is taken as SE; its
+                    # singletons come from the layer-2 harvest
+                    layer_mgic = [ISCondition(shape=shape, nis=frozenset(c),
+                                              sis=frozenset(sis_pool.intersection(c))) for c in cands]
                 else:
                     verified += len(cands)
                     args = [(shape, cand) for cand in cands]
@@ -415,22 +417,20 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
                 layer_verified = 0 if (conjectural and i > total) else len(cands)
                 ckpt.record_layer(i, layer_mgic, layer_fail, layer_verified)
             mgic.extend(layer_mgic)
-            for f in layer_fail:
-                mnse = mnse_insert_minimal(mnse, f)
+            mnse.extend(layer_fail)   # candidates hold no earlier failure
             if i == 2:
                 sis_pool = {s for c in mgic if len(c.nis) == 2 for s in c.sis}
             if not layer_mgic and mgic:
                 tr = i
                 break
         else:
-            if config.max_layer is not None and layer_hi < len(names):
-                partial = True
+            partial = layer_hi < len(names)
     finally:
         if pool is not None:
             pool.shutdown()
 
     stats = {
-        "is": is_all,
+        "is": (1 << (3 * total)) - 1,
         "is_prime": len(is_prime),
         "is_dprime": len(is2),
         "verified": verified,
@@ -444,7 +444,7 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
         tr=tr,
         max_nse=max((len(c.sis) for c in mnse), default=0),
         stats=stats,
-        mode=mode,
+        mode=config.mode,
     )
 
 

@@ -107,9 +107,6 @@ class Rule:
     def atoms(self) -> int:
         return self.head | self.pbody | self.nbody
 
-    def triple(self) -> tuple[int, int, int]:
-        return (self.head, self.pbody, self.nbody)
-
 
 @dataclass(frozen=True)
 class Program:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import isekit as ik
-from isekit.discovery import CheckpointError, _layer_candidates
+from isekit.discovery import CheckpointError, _head_cover, _layer_candidates
 
 
 def rule_of(text):
@@ -98,15 +98,15 @@ def test_basic_counts_single_fact_problem(sound_reports):
     assert report.max_nse == 1
 
 
-def test_layer_candidates_respects_coverage_and_failures():
-    names = [36, 9, 18, 33]
+def test_layer_candidates_drops_sets_over_a_failed_subset():
+    names = [36, 9, 18, 33]   # 36 = 0o44 covers both rules, 33 = 0o41 only one
     # layer 1: only names covering both rules with a head-only digit survive
-    ones = _layer_candidates(names, 1, 2, [])
-    assert ones == [(36,)]
-    # a recorded failure removes its supersets
-    pruned = _layer_candidates(names, 2, 2, [frozenset({36, 9})])
-    assert (36, 9) not in set(pruned)
-    assert all(36 in c for c in pruned)
+    assert _layer_candidates(names, 1, 2, []) == [(36,)]
+    assert _layer_candidates(names, 2, 2, [{36}]) == [(9, 36), (18, 36), (33, 36)]
+    # a covered S - {u} that was not SE ({9, 36}) removes S; the uncovered
+    # {18, 33} does not remove {18, 33, 36}
+    assert _layer_candidates(names, 3, 2, [{18, 36}, {33, 36}]) == [(18, 33, 36)]
+    assert _layer_candidates(names, 3, 2, [{18, 36}]) == []
 
 
 def test_improved_matches_known_counts(sound_reports):
@@ -227,3 +227,117 @@ def test_checkpoint_drops_torn_tail(tmp_path, sound_reports):
     path.write_bytes(lines[0][:10])
     assert ik.discover((0, 1, 1), ik.RunConfig(checkpoint_path=str(path))).dumps() == sound.dumps()
     assert path.read_bytes() == log
+
+
+def _dfs_layer_candidates(names, i, n_rules, mnse_sets):
+    """The earlier candidate generator, kept as oracle: a coverage-first DFS
+    over size-i subsets that skips any superset of a recorded failure."""
+    full = (1 << n_rules) - 1
+    names = sorted(names, key=lambda v: (_head_cover(v, n_rules) == 0, v))
+    index = {v: idx for idx, v in enumerate(names)}
+    masks = []
+    for e in mnse_sets:
+        if all(v in index for v in e):
+            masks.append(sum(1 << index[v] for v in e))
+    cover = [_head_cover(v, n_rules) for v in names]
+    suffix = [0] * (len(names) + 1)
+    for idx in range(len(names) - 1, -1, -1):
+        suffix[idx] = suffix[idx + 1] | cover[idx]
+    masks_with = [[m for m in masks if m >> idx & 1] for idx in range(len(names))]
+    out = []
+    chosen = []
+
+    def dfs(start, idx_mask, covered, slots):
+        if slots == 0:
+            if covered == full:
+                out.append(tuple(sorted(chosen)))
+            return
+        for idx in range(start, len(names) - slots + 1):
+            if covered | suffix[idx] != full:
+                break
+            nmask = idx_mask | (1 << idx)
+            if any(m & ~nmask == 0 for m in masks_with[idx]):
+                continue
+            chosen.append(names[idx])
+            dfs(idx + 1, nmask, covered | cover[idx], slots - 1)
+            chosen.pop()
+
+    dfs(0, 0, 0, i)
+    out.sort()
+    return out
+
+
+def test_layer_candidates_match_dfs_on_reports(sound_reports, large_sound_reports):
+    reports = {**sound_reports, **large_sound_reports}
+    for shape in [(0, 1, 1), (1, 1, 0), (0, 2, 1), (1, 2, 0), (1, 1, 1)]:
+        report, _ = reports[shape]
+        n = sum(shape)
+        # the one-name failures are those of the base pass
+        base_fail = {c.nis for c in report.mnse if len(c.nis) == 1}
+        names = [v for v in ik.base_name_universe(shape) if frozenset({v}) not in base_fail]
+        assert len(names) == report.stats["is_dprime"]
+        for i in range(1, min(report.tr + 1, len(names)) + 1):
+            prev_se = [c.nis for c in report.mgic if len(c.nis) == i - 1]
+            failures = [c.nis for c in report.mnse if len(c.nis) < i]
+            got = _layer_candidates(names, i, n, prev_se)
+            assert got == _dfs_layer_candidates(names, i, n, failures), (shape, i)
+            # every candidate was verified, and only candidates were
+            assert {frozenset(c) for c in got} == {c.nis for c in report.mgic + report.mnse
+                                                   if len(c.nis) == i and c.nis not in base_fail}
+
+
+def _random_name(rng, n_rules):
+    return sum(rng.choice((0, 1, 2, 4, 4, 5)) << (3 * k) for k in range(n_rules)) or 4
+
+
+def test_layer_candidates_match_dfs_on_random_histories():
+    rng = random.Random(41)
+    four_name_covers = 0
+    for _ in range(200):
+        n = rng.choice((2, 3, 4))
+        names = sorted({_random_name(rng, n) for _ in range(rng.randint(n + 2, 11))})
+        if n == 4:   # one name per rule, so a 4-name minimal cover exists
+            names = sorted(set(names) | {4 << (3 * k) for k in range(4)})
+        p_se = rng.choice((0.6, 0.85, 0.95))
+        salt = rng.random()
+        prev_se, failures = [], []
+        for i in range(1, len(names) + 1):
+            got = _layer_candidates(names, i, n, prev_se)
+            assert got == _dfs_layer_candidates(names, i, n, failures), (names, i)
+            if i == n == 4:   # a minimal cover of 4 names covers each rule once
+                four_name_covers += sum(
+                    sorted(_head_cover(v, n) for v in c) == [1, 2, 4, 8] for c in got)
+            # the same seeded verdict for a candidate, whichever generator made it
+            se = {c for c in got if random.Random(f"{salt}{c}").random() < p_se}
+            prev_se = [frozenset(c) for c in got if c in se]
+            failures += [frozenset(c) for c in got if c not in se]
+    assert four_name_covers > 0
+
+
+def test_mnse_is_an_antichain(sound_reports, large_sound_reports):
+    reports = [r for r, _ in {**sound_reports, **large_sound_reports}.values()]
+    reports += [ik.discover(shape, ik.RunConfig(mode="conjectural"))
+                for shape in [(1, 2, 0), (1, 1, 1)]]
+    assert len(reports) == 8
+    for report in reports:
+        sets = [c.nis for c in report.mnse]
+        assert len(set(sets)) == len(sets)
+        assert not [(a, b) for a in sets for b in sets if a < b], report.shape
+
+
+def test_checkpoint_resumes_at_every_layer_boundary(tmp_path):
+    path = tmp_path / "ck.jsonl"
+    whole = ik.discover((1, 1, 0), ik.RunConfig(checkpoint_path=str(path))).dumps()
+    log = path.read_bytes()
+    lines = log.splitlines(keepends=True)
+    assert len(lines) == 2 + 12   # header, base, layers 1..TR
+    for keep in range(2, len(lines)):   # after the base, after each layer k
+        path.write_bytes(b"".join(lines[:keep]))
+        again = ik.discover((1, 1, 0), ik.RunConfig(checkpoint_path=str(path)))
+        assert again.dumps() == whole, keep
+        assert path.read_bytes() == log, keep
+
+
+def test_unknown_mode_is_rejected():
+    with pytest.raises(ValueError, match="mode"):
+        ik.RunConfig(mode="conj")
