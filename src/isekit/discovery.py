@@ -4,12 +4,13 @@ A k-m-n problem asks which conditions on the independent sets of a tuple
 T = <K, M, N> (k, m, n rules) force K∪M and K∪N to be equivalent for every
 instantiation. A condition (nis, sis) is verified on its canonical instance,
 by a search over the here-and-there states of its set names
-(`isets.CanonicalSearch`).
+(`isets.CanonicalSearch`); one question, with two atoms for every name,
+settles most conditions and all their singletons at once.
 
 `discover(shape, RunConfig(mode=...))` is the one entry point:
   sound        explores conditions layer by layer (layer i = conditions with
-               i non-empty sets) built from layer i-1's SE sets; its
-               failures are the minimal non-SE-conditions
+               i non-empty sets) built from layer i-1's SE sets, kept as int
+               masks over IS''; its failures are the minimal non-SE-conditions
   conjectural  verifies only the first k+m+n layers and classifies the rest
                by the observed minimality/singleton regularities
 Shapes of at most one rule enumerate every subset of their (at most 7)
@@ -22,7 +23,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Optional
 
 from .semantics import Semantics
@@ -46,6 +47,8 @@ class RunConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.max_layer is not None and self.max_layer < 1:
+            raise ValueError("max_layer must be >= 1")
         if self.mode not in ("sound", "conjectural"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -159,19 +162,21 @@ def verify_and_compute_mgse(shape, nis, sis,
     one with I_s grown by a fresh atom, up to a renaming of atoms, and
     HT-model equality does not change under renaming. The condition is
     compiled once; each question only changes the start domains.
+
+    The first question is the two-atom one, `search.full` = (nis, {}).
+    `equivalent(d)` says no witness lies within the domains d, so it holds
+    on every d' within d if it holds on d. The start domains and every
+    `grow(start, s)` lie within `full`: if it holds, no singleton is kept.
     """
     cond = ISCondition(shape=tuple(shape), nis=frozenset(nis), sis=frozenset(sis))
     search = CanonicalSearch(cond.shape, cond.nis, sem)
+    if search.equivalent(search.full):
+        return ISCondition(shape=cond.shape, nis=cond.nis, sis=frozenset())
     start = search.domains(cond.sis)
     if not search.equivalent(start):
         return None
     kept = [s for s in sorted(cond.sis) if not search.equivalent(search.grow(start, s))]
     return ISCondition(shape=cond.shape, nis=cond.nis, sis=frozenset(kept))
-
-
-def _worker_verify(args):
-    shape, nis = args
-    return nis, verify_and_compute_mgse(shape, nis, nis)
 
 
 def mnse_insert_minimal(mnse: list[ISCondition], c: ISCondition) -> list[ISCondition]:
@@ -180,10 +185,6 @@ def mnse_insert_minimal(mnse: list[ISCondition], c: ISCondition) -> list[ISCondi
         if e.nis <= c.nis:
             return mnse
     return [e for e in mnse if not c.nis < e.nis] + [c]
-
-
-def _sorted_conditions(conds):
-    return sorted(conds, key=ISCondition.sort_key)
 
 
 def _discover_plain(shape, mode: str) -> SearchReport:
@@ -196,6 +197,7 @@ def _discover_plain(shape, mode: str) -> SearchReport:
     names = list(range(1, 1 << (3 * sum(shape))))
     mgic: list[ISCondition] = []
     mnse: list[ISCondition] = []
+    # combinations come in sort_key order, so both lists are sorted
     for size in range(0, len(names) + 1):
         for combo in combinations(names, size):
             res = verify_and_compute_mgse(shape, combo, combo)
@@ -207,8 +209,8 @@ def _discover_plain(shape, mode: str) -> SearchReport:
              "verified": 1 << len(names)}
     return SearchReport(
         shape=shape,
-        mgic=_sorted_conditions(mgic),
-        mnse=_sorted_conditions(mnse),
+        mgic=mgic,
+        mnse=mnse,
         tr=len(names),
         max_nse=max((len(c.sis) for c in mnse), default=0),
         stats=stats,
@@ -216,43 +218,57 @@ def _discover_plain(shape, mode: str) -> SearchReport:
     )
 
 
-def _layer_candidates(names: list[int], i: int, n_rules: int,
-                      prev_se: list[frozenset]) -> list[tuple[int, ...]]:
+def _layer_candidates(names: list[int], i: int, n_rules: int, prev: set[int]) -> list[int]:
     """Size-i sets of names that cover every rule with a digit-4 name and
-    hold no failure, given `prev_se`, the nis of layer i-1's SE sets.
+    hold no failure, given `prev`, the masks of layer i-1's SE sets.
+
+    Bit idx of a mask stands for names[idx]; `discover` passes the names in
+    descending order, so the masks, returned in descending order, come in
+    `ISCondition.sort_key` order.
 
     Failures are covered, so a covered S holds one iff some covered S - {u}
     was not SE. S - {u} is covered unless u alone covers a rule; the other
-    names of S are spare. The minimal covers (no spare name, at most n_rules
-    names) are listed; every other S is built once, from S minus its largest
-    spare name, and kept iff S - {u} is in prev_se for every spare u.
+    names of S are spare. A minimal cover (no spare name) grows by a coverer
+    of its lowest uncovered rule while every name alone covers a rule; a
+    coverer tried for a rule is not tried again below it. Every other S is
+    built once, from S minus its largest spare name, and kept iff S - {u} is
+    in prev for every spare u.
     """
-    names = sorted(names)
-    index = {v: idx for idx, v in enumerate(names)}
-    coverers = [sum(1 << index[v] for v in names if _head_cover(v, n_rules) >> k & 1)
+    coverers = [sum(1 << idx for idx, v in enumerate(names) if _head_cover(v, n_rules) >> k & 1)
                 for k in range(n_rules)]
-    prev = {sum(1 << index[v] for v in nis) for nis in prev_se}
 
-    def spare(s: int) -> int:
-        """The spare names of s, or -1 if s leaves a rule uncovered."""
-        free = s
+    def lone(s: int) -> int:
+        """The names of s that alone cover some rule."""
+        alone = 0
         for c in coverers:
             c &= s
-            if not c:
-                return -1
-            if not c & (c - 1):
-                free &= ~c   # the one name covering this rule
-        return free
+            if c and not c & (c - 1):
+                alone |= c
+        return alone
 
     out: list[int] = []
+
+    def grow_covers(s: int, size: int, tried: int):
+        uncovered = [c for c in coverers if not c & s]
+        if not uncovered or size == i:
+            if not uncovered and size == i:
+                out.append(s)
+            return
+        c = uncovered[0] & ~tried
+        while c:
+            bit = c & -c
+            if lone(s | bit) == s | bit:
+                grow_covers(s | bit, size + 1, tried)
+            tried |= bit
+            c ^= bit
+
     if i <= n_rules:
-        cover_bits = [1 << idx for idx, v in enumerate(names) if _head_cover(v, n_rules)]
-        out += [s for s in map(sum, combinations(cover_bits, i)) if spare(s) == 0]
-    for t in prev:
-        for b in range(spare(t).bit_length(), len(names)):
+        grow_covers(0, 0, 0)
+    for t in prev:   # t covers, and so does every t | bit
+        for b in range((t ^ lone(t)).bit_length(), len(names)):
             bit = 1 << b
             s = t | bit
-            others = spare(s) ^ bit   # b is spare in s, since t covers
+            others = s ^ lone(s) ^ bit   # the spare names of s other than b
             if s == t or others > bit:
                 continue   # b is in t, or not the largest spare name of s
             while others:
@@ -262,7 +278,8 @@ def _layer_candidates(names: list[int], i: int, n_rules: int,
                 others ^= low
             else:
                 out.append(s)
-    return sorted(tuple(v for idx, v in enumerate(names) if s >> idx & 1) for s in out)
+    out.sort(reverse=True)
+    return out
 
 
 def _config_hash(shape, config: RunConfig) -> str:
@@ -374,16 +391,26 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
                 mnse.append(make_condition(shape, [x]))
         ckpt.record_base(is2, mnse, len(is_prime))
 
-    names = sorted(is2)
+    names = sorted(is2, reverse=True)   # bit idx of a layer mask stands for names[idx]
+    index = {v: idx for idx, v in enumerate(names)}
+
+    def members(s: int) -> frozenset:
+        out = []
+        while s:
+            low = s & -s
+            out.append(names[low.bit_length() - 1])
+            s ^= low
+        return frozenset(out)
+
     mgic: list[ISCondition] = []
-    sis_pool: set[int] = set()   # singletons seen in layer-2 conditions
+    pool_mask = 0   # singletons seen in layer-2 conditions
     layer_hi = len(names) if config.max_layer is None else min(config.max_layer, len(names))
     tr = layer_hi
     partial = False
 
     pool = ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else None
     replay = {rec["i"]: rec for rec in ckpt.layers}
-    layer_mgic: list[ISCondition] = []
+    prev: set[int] = set()   # the SE masks of the last layer
     try:
         for i in range(1, layer_hi + 1):
             if i in replay:
@@ -391,35 +418,35 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
                 layer_mgic = [ISCondition.from_json(c) for c in rec["mgic"]]
                 layer_fail = [ISCondition.from_json(c) for c in rec["mnse_add"]]
                 verified += rec.get("verified", 0)
+                prev = {sum(1 << index[v] for v in c.nis) for c in layer_mgic}
             else:
-                cands = _layer_candidates(names, i, total, [c.nis for c in layer_mgic])
-                layer_mgic, layer_fail = [], []
+                # masks come in descending order, so both lists are sorted
+                cands = _layer_candidates(names, i, total, prev)
                 if conjectural and i > total:
                     # deep layers: every candidate is taken as SE; its
                     # singletons come from the layer-2 harvest
-                    layer_mgic = [ISCondition(shape=shape, nis=frozenset(c),
-                                              sis=frozenset(sis_pool.intersection(c))) for c in cands]
+                    layer_mgic = [ISCondition(shape=shape, nis=members(s),
+                                              sis=members(s & pool_mask)) for s in cands]
+                    layer_fail, prev, layer_verified = [], set(cands), 0
                 else:
-                    verified += len(cands)
-                    args = [(shape, cand) for cand in cands]
+                    sets = [members(s) for s in cands]
+                    args = (verify_and_compute_mgse, repeat(shape), sets, sets)
                     if pool is not None:
-                        chunk = max(1, len(args) // (config.jobs * 4) or 1)
-                        results = pool.map(_worker_verify, args, chunksize=chunk)
+                        chunk = max(1, len(sets) // (config.jobs * 4) or 1)
+                        results = list(pool.map(*args, chunksize=chunk))
                     else:
-                        results = map(_worker_verify, args)
-                    for cand, res in results:
-                        if res is not None:
-                            layer_mgic.append(res)
-                        else:
-                            layer_fail.append(make_condition(shape, cand))
-                layer_mgic = _sorted_conditions(layer_mgic)
-                layer_fail = _sorted_conditions(layer_fail)
-                layer_verified = 0 if (conjectural and i > total) else len(cands)
+                        results = list(map(*args))
+                    layer_mgic = [res for res in results if res is not None]
+                    layer_fail = [ISCondition(shape=shape, nis=nis, sis=nis)
+                                  for nis, res in zip(sets, results) if res is None]
+                    prev = {s for s, res in zip(cands, results) if res is not None}
+                    layer_verified = len(cands)
+                verified += layer_verified
                 ckpt.record_layer(i, layer_mgic, layer_fail, layer_verified)
             mgic.extend(layer_mgic)
             mnse.extend(layer_fail)   # candidates hold no earlier failure
             if i == 2:
-                sis_pool = {s for c in mgic if len(c.nis) == 2 for s in c.sis}
+                pool_mask = sum(1 << index[v] for v in {v for c in layer_mgic for v in c.sis})
             if not layer_mgic and mgic:
                 tr = i
                 break
@@ -439,8 +466,8 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
         stats["partial"] = True
     return SearchReport(
         shape=shape,
-        mgic=_sorted_conditions(mgic),
-        mnse=_sorted_conditions(mnse),
+        mgic=mgic,   # each layer is sorted, and sort_key leads with |nis|
+        mnse=sorted(mnse, key=ISCondition.sort_key),
         tr=tr,
         max_nse=max((len(c.sis) for c in mnse), default=0),
         stats=stats,

@@ -26,3 +26,10 @@ def sound_reports():
 def large_sound_reports():
     """Sound-mode reports and wall times for 1-2-0 and 1-1-1 (~10 s together)."""
     return _timed_sound_reports([(1, 2, 0), (1, 1, 1)])
+
+
+@pytest.fixture(scope="session")
+def conjectural_reports():
+    """Conjectural-mode reports of the six reference shapes (~2 s together)."""
+    return {shape: ik.discover(shape, ik.RunConfig(mode="conjectural"))
+            for shape in [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1), (1, 2, 0), (1, 1, 1)]}

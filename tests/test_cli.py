@@ -139,6 +139,13 @@ def test_discover_checkpoint_of_other_shape(tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
+def test_discover_max_layer_below_one(capsys):
+    for value in ("0", "-1"):
+        assert main(["discover", "0", "1", "1", "--jobs", "1", "--max-layer", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: max_layer must be >= 1\n", (out, err)
+
+
 def test_bad_job_counts(monkeypatch, capsys):
     assert main(["regress", "--shapes", "0-1-0", "--jobs", "0"]) == 2
     assert_one_error_line(capsys)

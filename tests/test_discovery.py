@@ -1,12 +1,15 @@
 """Condition search: filters, verification, enumeration, checkpoints."""
 
+import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
 import isekit as ik
 from isekit.discovery import CheckpointError, _head_cover, _layer_candidates
+from isekit.isets import CanonicalSearch
 
 
 def rule_of(text):
@@ -98,15 +101,29 @@ def test_basic_counts_single_fact_problem(sound_reports):
     assert report.max_nse == 1
 
 
+def _candidates(names, i, n_rules, prev_se):
+    """`_layer_candidates` in name terms: the masks are over the names in
+    descending order, as `discover` passes them. Checks that the masks come
+    in descending order and that this is `sort_key` order of their names."""
+    desc = sorted(names, reverse=True)
+    prev = {sum(1 << desc.index(v) for v in nis) for nis in prev_se}
+    masks = _layer_candidates(desc, i, n_rules, prev)
+    assert masks == sorted(masks, reverse=True)
+    conds = [ik.make_condition((0, 0, n_rules), [v for idx, v in enumerate(desc) if s >> idx & 1])
+             for s in masks]
+    assert [c.sort_key() for c in conds] == sorted(c.sort_key() for c in conds)
+    return [tuple(sorted(c.nis)) for c in conds]
+
+
 def test_layer_candidates_drops_sets_over_a_failed_subset():
     names = [36, 9, 18, 33]   # 36 = 0o44 covers both rules, 33 = 0o41 only one
     # layer 1: only names covering both rules with a head-only digit survive
-    assert _layer_candidates(names, 1, 2, []) == [(36,)]
-    assert _layer_candidates(names, 2, 2, [{36}]) == [(9, 36), (18, 36), (33, 36)]
+    assert _candidates(names, 1, 2, []) == [(36,)]
+    assert _candidates(names, 2, 2, [{36}]) == [(9, 36), (18, 36), (33, 36)]
     # a covered S - {u} that was not SE ({9, 36}) removes S; the uncovered
     # {18, 33} does not remove {18, 33, 36}
-    assert _layer_candidates(names, 3, 2, [{18, 36}, {33, 36}]) == [(18, 33, 36)]
-    assert _layer_candidates(names, 3, 2, [{18, 36}]) == []
+    assert _candidates(names, 3, 2, [{18, 36}, {33, 36}]) == [(18, 33, 36)]
+    assert _candidates(names, 3, 2, [{18, 36}]) == []
 
 
 def test_improved_matches_known_counts(sound_reports):
@@ -197,16 +214,34 @@ def test_verify_matches_tuple_route_on_reports(sound_reports):
 def test_verify_matches_tuple_route_on_random_conditions():
     rng = random.Random(29)
     shapes = [(0, 1, 1), (1, 1, 0), (1, 0, 1), (0, 2, 1), (1, 2, 0), (1, 1, 1)]
-    seen_se = 0
+    conditions = []
     for _ in range(200):
         shape = rng.choice(shapes)
         nis = rng.sample(range(1, 1 << (3 * sum(shape))), rng.randint(1, 5))
-        sis = [v for v in nis if rng.random() < 0.5]
+        conditions.append((shape, nis, [v for v in nis if rng.random() < 0.5]))
+    # a random singleton is seldom kept; in the sound 1-1-1 MGIC every kept
+    # one is 0o402 or 0o420 beside 0o444, so grow that core by random names
+    for _ in range(50):
+        s = rng.choice((0o402, 0o420))
+        extra = rng.sample(range(1, 1 << 9), rng.randint(0, 3))
+        conditions.append(((1, 1, 1), list({0o444, s, *extra}),
+                           [s] + [v for v in extra if rng.random() < 0.5]))
+    outcomes = {sem: Counter() for sem in ik.Semantics}
+    for shape, nis, sis in conditions:
         for sem in (ik.Semantics.ASP, ik.Semantics.LPMLN):
             got = ik.verify_and_compute_mgse(shape, nis, sis, sem)
             assert got == _oracle_verify(shape, nis, sis, sem), (shape, nis, sis, sem)
-            seen_se += got is not None
-    assert seen_se >= 40  # both verdicts are exercised
+            search = CanonicalSearch(shape, nis, sem)
+            if got is None:
+                outcomes[sem]["not SE"] += 1
+            elif search.equivalent(search.full):
+                outcomes[sem]["two atoms each"] += 1
+            elif got.sis:
+                outcomes[sem]["kept singletons"] += 1
+    # each way out of verification is taken in both semantics: SE settled by
+    # the two-atom question, SE keeping a singleton, and not SE
+    for sem, seen in outcomes.items():
+        assert min(seen[k] for k in ("not SE", "two atoms each", "kept singletons")) >= 5, (sem, seen)
 
 
 def test_checkpoint_drops_torn_tail(tmp_path, sound_reports):
@@ -279,7 +314,7 @@ def test_layer_candidates_match_dfs_on_reports(sound_reports, large_sound_report
         for i in range(1, min(report.tr + 1, len(names)) + 1):
             prev_se = [c.nis for c in report.mgic if len(c.nis) == i - 1]
             failures = [c.nis for c in report.mnse if len(c.nis) < i]
-            got = _layer_candidates(names, i, n, prev_se)
+            got = _candidates(names, i, n, prev_se)
             assert got == _dfs_layer_candidates(names, i, n, failures), (shape, i)
             # every candidate was verified, and only candidates were
             assert {frozenset(c) for c in got} == {c.nis for c in report.mgic + report.mnse
@@ -302,7 +337,7 @@ def test_layer_candidates_match_dfs_on_random_histories():
         salt = rng.random()
         prev_se, failures = [], []
         for i in range(1, len(names) + 1):
-            got = _layer_candidates(names, i, n, prev_se)
+            got = _candidates(names, i, n, prev_se)
             assert got == _dfs_layer_candidates(names, i, n, failures), (names, i)
             if i == n == 4:   # a minimal cover of 4 names covers each rule once
                 four_name_covers += sum(
@@ -314,10 +349,9 @@ def test_layer_candidates_match_dfs_on_random_histories():
     assert four_name_covers > 0
 
 
-def test_mnse_is_an_antichain(sound_reports, large_sound_reports):
+def test_mnse_is_an_antichain(sound_reports, large_sound_reports, conjectural_reports):
     reports = [r for r, _ in {**sound_reports, **large_sound_reports}.values()]
-    reports += [ik.discover(shape, ik.RunConfig(mode="conjectural"))
-                for shape in [(1, 2, 0), (1, 1, 1)]]
+    reports += [conjectural_reports[shape] for shape in [(1, 2, 0), (1, 1, 1)]]
     assert len(reports) == 8
     for report in reports:
         sets = [c.nis for c in report.mnse]
@@ -341,3 +375,44 @@ def test_checkpoint_resumes_at_every_layer_boundary(tmp_path):
 def test_unknown_mode_is_rejected():
     with pytest.raises(ValueError, match="mode"):
         ik.RunConfig(mode="conj")
+
+
+def test_max_layer_below_one_is_rejected():
+    for max_layer in (0, -1):
+        with pytest.raises(ValueError, match="max_layer"):
+            ik.RunConfig(max_layer=max_layer)
+    assert ik.discover((0, 1, 1), ik.RunConfig(max_layer=1)).tr == 1
+
+
+# sha256 prefixes of report.dumps(), (mode, shape, max_layer) -> digest
+REPORT_DIGESTS = {
+    ("sound", (0, 1, 0), None): "3946828880b9e3a7",
+    ("sound", (0, 1, 1), None): "2d2733c859ac488e",
+    ("sound", (1, 1, 0), None): "3e2c46e64f66b4e5",
+    ("sound", (0, 2, 1), None): "d9b15e43fc59b98b",
+    ("sound", (1, 2, 0), None): "482a2fbbc82e7344",
+    ("sound", (1, 1, 1), None): "1c6909ad0785cc78",
+    ("sound", (1, 1, 1), 7): "5ac6fc1f64fbd855",
+    ("conjectural", (0, 1, 0), None): "564fba6672269062",
+    ("conjectural", (0, 1, 1), None): "4a53696fdf6044ba",
+    ("conjectural", (1, 1, 0), None): "ae69aa82b8b4f484",
+    ("conjectural", (0, 2, 1), None): "d137f53730df7bea",
+    ("conjectural", (1, 2, 0), None): "2bd4955733addac1",
+    ("conjectural", (1, 1, 1), None): "0a0f7eec27a36272",
+}
+
+
+def _digest(report):
+    return hashlib.sha256(report.dumps().encode()).hexdigest()[:16]
+
+
+def test_report_bytes_are_pinned(sound_reports, large_sound_reports, conjectural_reports):
+    got = {("sound", shape, None): _digest(report)
+           for shape, (report, _) in {**sound_reports, **large_sound_reports}.items()}
+    got[("sound", (1, 1, 1), 7)] = _digest(ik.discover((1, 1, 1), ik.RunConfig(max_layer=7)))
+    got.update({("conjectural", shape, None): _digest(report)
+                for shape, report in conjectural_reports.items()})
+    assert got == REPORT_DIGESTS
+    # worker processes verify the layers in chunks; the bytes stay the same
+    parallel = ik.discover((1, 2, 0), ik.RunConfig(jobs=2))
+    assert _digest(parallel) == REPORT_DIGESTS[("sound", (1, 2, 0), None)]

@@ -274,3 +274,30 @@ def test_three_atom_set_keeps_the_verdict(sem):
         assert got == bigint_se(shape, rules, sem), (shape, nis, sis, widths)
         verdicts.add(got)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("sem", list(ik.Semantics), ids=lambda s: s.value)
+def test_equivalent_is_monotone_in_the_domains(sem):
+    """No witness within d means none within any d' inside d.
+
+    `verify_and_compute_mgse` rests on this when one answer on the two-atom
+    domains settles the condition and all its singletons.
+    """
+    rng = random.Random(f"monotone {sem.value}")
+    held = only_inner = 0
+    for _ in range(400):
+        shape = rng.choice([s for s in SHAPES if sum(s) in (2, 3)])
+        nis, _ = random_condition(rng, shape)
+        search = CanonicalSearch(shape, nis, sem)
+        outer = inner = 0
+        for i in range(len(nis)):   # every 6-bit field keeps a state
+            field = rng.randint(1, 63)
+            sub = field & rng.randint(0, 63) or 1 << rng.choice(
+                [b for b in range(6) if field >> b & 1])
+            outer |= field << (6 * i)
+            inner |= sub << (6 * i)
+        if search.equivalent(outer):
+            held += 1
+            assert search.equivalent(inner), (shape, nis, outer, inner)
+        only_inner += search.equivalent(inner) and not search.equivalent(outer)
+    assert held >= 100 and only_inner >= 10, (held, only_inner)
