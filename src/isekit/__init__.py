@@ -18,7 +18,7 @@ from .discovery import (SearchReport, RunConfig, is_semi_valid,
                         base_name_universe, sic2_excluded,
                         verify_and_compute_mgse, mnse_insert_minimal,
                         discover, KNOWN_COUNTS)
-from .simplify import (Clique, SimplifiedCondition, SimplifyResult, cis,
+from .simplify import (Clique, SimplifiedCondition, SimplifyResult,
                        sis_irrelevant_partition, find_max_cliques, simplify,
                        condition_holds, sim_holds)
 

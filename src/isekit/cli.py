@@ -133,14 +133,26 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def cmd_regress(args) -> int:
-    if args.shapes:
-        shapes = [tuple(int(x) for x in s.split("-")) for s in args.shapes.split(",")]
-    elif args.suite == "fast":
-        shapes = [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1)]
-    else:
-        shapes = [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1), (1, 2, 0), (1, 1, 1)]
+def _known_shape(text: str) -> tuple:
     try:
+        shape = tuple(int(x) for x in text.split("-"))
+    except ValueError:
+        shape = ()
+    if len(shape) != 3:
+        raise ValueError(f"--shapes: {text!r} is not of the form k-m-n")
+    if shape not in KNOWN_COUNTS:
+        raise ValueError(f"--shapes: no known counts for {text}")
+    return shape
+
+
+def cmd_regress(args) -> int:
+    try:
+        if args.shapes:
+            shapes = [_known_shape(s) for s in args.shapes.split(",")]
+        elif args.suite == "fast":
+            shapes = [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1)]
+        else:
+            shapes = [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1), (1, 2, 0), (1, 1, 1)]
         jobs = _jobs(args)
     except ValueError as e:
         return _error(e)

@@ -366,6 +366,8 @@ class _Checkpoint:
 def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
     config = config or RunConfig()
     shape = tuple(shape)
+    if len(shape) != 3 or min(shape) < 0:
+        raise ValueError(f"a shape is three non-negative rule counts, got {shape}")
     conjectural = config.mode == "conjectural"
     total = sum(shape)
     if total <= 1:

@@ -161,8 +161,8 @@ def ht_models(p: Program, universe_mask: int, sem: Semantics,
 # For a fixed there-world Y over u atoms, the admissible here-worlds of a
 # program form a subset of {0..2^u-1}; we store it as an int with bit X set
 # iff X is admissible. Per-rule masks only depend on (head, pbody), so they
-# are cached across the thousands of near-identical programs the discovery
-# search verifies.
+# are cached across the programs of one process: the pairs `check` compares
+# and the programs the tests verify (discovery uses `isets.CanonicalSearch`).
 
 @lru_cache(maxsize=None)
 def _atom_mask(a: int, u: int) -> int:

@@ -18,14 +18,11 @@ from .isets import ISCondition
 
 @dataclass(frozen=True)
 class Clique:
-    """The cube [low, max_member.nis]: one member per nis between the two."""
+    """The cube [low, max_member.nis]: one member per nis between the two,
+    each with sis = nis ∩ max_member.sis."""
 
-    members: tuple[ISCondition, ...]
     max_member: ISCondition
     low: frozenset[int]
-
-    def member_keys(self) -> frozenset:
-        return frozenset(c.nis for c in self.members)
 
 
 @dataclass(frozen=True)
@@ -63,32 +60,6 @@ class SimplifyResult:
             "disjuncts": [d.to_json() for d in self.disjuncts],
             "residual": [c.to_json() for c in self.residual],
         }
-
-
-def _name_space(shape) -> frozenset[int]:
-    return frozenset(range(1, 1 << (3 * sum(shape))))
-
-
-def cis(conditions: Iterable[ISCondition], kind: str) -> frozenset[int]:
-    """Common non-empty ('nonempty') or common empty ('empty') set names."""
-    conds = list(conditions)
-    if not conds:
-        raise ValueError("cis of an empty condition set")
-    shape = conds[0].shape
-    if any(c.shape != shape for c in conds):
-        raise ValueError("conditions must share a shape")
-    if kind == "nonempty":
-        out = conds[0].nis
-        for c in conds[1:]:
-            out &= c.nis
-        return frozenset(out)
-    if kind == "empty":
-        space = _name_space(shape)
-        out = space - conds[0].nis
-        for c in conds[1:]:
-            out &= space - c.nis
-        return frozenset(out)
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def sis_irrelevant_partition(mgic: Iterable[ISCondition]) -> list[list[ISCondition]]:
@@ -147,26 +118,19 @@ def find_max_cliques(subset: Iterable[ISCondition]) -> list[Clique]:
         extendable: set[int] = set()
         for F in free_sets:
             drops = [F ^ b for b in bits if F & b]
-            if all(d in valid for d in drops):
+            if valid.issuperset(drops):
                 valid.add(F)
                 extendable.update(drops)
         for F in valid - extendable:
-            low = U & ~F
-            members = []
-            sub = F
-            while True:
-                members.append(by_mask[low | sub])
-                if not sub:
-                    break
-                sub = (sub - 1) & F
-            members.sort(key=ISCondition.sort_key)
-            cliques.append(Clique(members=tuple(members), max_member=top, low=members[0].nis))
+            low = frozenset(v for v in top.nis if not F >> v & 1)
+            cliques.append(Clique(max_member=top, low=low))
     cliques.sort(key=_clique_order)
     return cliques
 
 
 def _clique_order(c: Clique):
-    return (-len(c.members), c.max_member.sort_key(), sorted(c.low))
+    """Largest cube first (|U − low| free names), then by top and low."""
+    return (len(c.low) - len(c.max_member.nis), c.max_member.sort_key(), sorted(c.low))
 
 
 def _cube_sim(low: frozenset[int], top: ISCondition) -> SimplifiedCondition:
@@ -202,10 +166,9 @@ def simplify(mgic: Iterable[ISCondition]) -> SimplifyResult:
                   if not any(l2 <= lo and hi <= h2 and (l2, h2) != (lo, hi)
                              for l2, h2 in spans)),
                  key=_clique_order)
-    covered: set = set()
-    for c in out:
-        covered |= {m.nis for m in c.members}
-    residual = sorted((c for c in conds if c.nis not in covered), key=ISCondition.sort_key)
+    residual = sorted((c for c in conds
+                       if not any(k.low <= c.nis <= k.max_member.nis for k in out)),
+                      key=ISCondition.sort_key)
     disjuncts = [sim(c) for c in out] + [condition_as_sim(c) for c in residual]
     return SimplifyResult(disjuncts=disjuncts, cliques=out, residual=residual)
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats."""
 
+import hashlib
 import json
 import os
 
@@ -82,6 +83,13 @@ def test_discover_rejects_huge_shape(capsys):
     assert main(["discover", "4", "4", "4"]) == 2
 
 
+def test_discover_rejects_negative_rule_count(capsys):
+    for counts in (["1", "-1", "1"], ["0", "-1", "0"]):
+        assert main(["discover", *counts, "--jobs", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (out, err)
+
+
 def test_simplify_report(tmp_path, capsys):
     out_path = str(tmp_path / "report.json")
     main(["discover", "0", "1", "0", "--jobs", "1", "--out", out_path])
@@ -126,6 +134,15 @@ def test_regress_single_shape(capsys):
     assert out.startswith("PASS 0-1-0")
 
 
+def test_regress_rejects_bad_shapes(capsys):
+    # no known counts, too few counts, a count that is no integer
+    for shapes in ("0-2-2", "0-1", "x-1-1", "0-1-0,1-1"):
+        assert main(["regress", "--shapes", shapes, "--jobs", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "", shapes
+        assert err.startswith("error: ") and err.count("\n") == 1, (shapes, err)
+
+
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -165,3 +182,21 @@ def test_simplify_fifteen_name_condition(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert len(json.loads(out)["disjuncts"]) == 1
     assert err.count("\n") == 1
+
+
+# sha256 prefixes of the bytes `isekit simplify` writes to stdout for the
+# sound MGIC of each reference shape, trailing newline included
+SIMPLIFY_DIGESTS = {
+    (0, 1, 0): "e61dbde2af1ade44",
+    (0, 1, 1): "7fdfd0bdde82fbb7",
+    (1, 1, 0): "0a97852b285866b9",
+    (0, 2, 1): "94b1d398ed33eac3",
+    (1, 2, 0): "ed61b80adcdeae7c",
+    (1, 1, 1): "0843e1dae42b8d93",
+}
+
+
+@pytest.mark.parametrize("shape", list(SIMPLIFY_DIGESTS), ids="{0[0]}-{0[1]}-{0[2]}".format)
+def test_simplify_bytes_are_pinned(shape, simplify_stdout):
+    out = simplify_stdout(shape)
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == SIMPLIFY_DIGESTS[shape]

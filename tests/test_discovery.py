@@ -377,6 +377,12 @@ def test_unknown_mode_is_rejected():
         ik.RunConfig(mode="conj")
 
 
+def test_shape_must_be_three_non_negative_counts():
+    for shape in [(1, -1, 1), (0, -1, 0), (-1, 1, 1), (0, 1), (0, 1, 1, 0)]:
+        with pytest.raises(ValueError, match="shape"):
+            ik.discover(shape)
+
+
 def test_max_layer_below_one_is_rejected():
     for max_layer in (0, -1):
         with pytest.raises(ValueError, match="max_layer"):

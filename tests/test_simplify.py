@@ -18,17 +18,47 @@ def mk(nis, sis=frozenset(), shape=SHAPE2):
     return ik.make_condition(shape, nis, sis)
 
 
+def cis(conditions, kind):
+    """Common non-empty ('nonempty') or common empty ('empty') set names:
+    the paper's CIS, an oracle for `sim` over the conditions of a clique."""
+    conds = list(conditions)
+    if not conds:
+        raise ValueError("cis of an empty condition set")
+    shape = conds[0].shape
+    if any(c.shape != shape for c in conds):
+        raise ValueError("conditions must share a shape")
+    if kind == "nonempty":
+        return frozenset.intersection(*(c.nis for c in conds))
+    if kind == "empty":
+        space = frozenset(range(1, 1 << (3 * sum(shape))))
+        return space - frozenset().union(*(c.nis for c in conds))
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 def test_cis():
     c1, c2, c3 = mk({1, 2, 3}), mk({1, 3}), mk({1, 2})
-    assert ik.cis([c1, c2], "nonempty") == frozenset({1, 3})
-    assert ik.cis([c1, c2, c3], "nonempty") == frozenset({1})
-    empties = ik.cis([c2, c3], "empty")
+    assert cis([c1, c2], "nonempty") == frozenset({1, 3})
+    assert cis([c1, c2, c3], "nonempty") == frozenset({1})
+    empties = cis([c2, c3], "empty")
     assert 1 not in empties and 2 not in empties and 3 not in empties
     assert 4 in empties and len(empties) == 63 - 3
     with pytest.raises(ValueError):
-        ik.cis([], "nonempty")
+        cis([], "nonempty")
     with pytest.raises(ValueError):
-        ik.cis([c1], "both")
+        cis([c1, ik.make_condition((0, 1, 0), {1})], "nonempty")
+    with pytest.raises(ValueError):
+        cis([c1], "both")
+
+
+def interval(low, top):
+    """Every nis of the cube [low, top.nis]."""
+    free = sorted(top.nis - low)
+    return [low | {free[j] for j in range(len(free)) if bits >> j & 1}
+            for bits in range(1 << len(free))]
+
+
+def spans(cliques):
+    return [(c.low, c.max_member) for c in cliques]
 
 
 def test_sis_irrelevant_partition():
@@ -47,8 +77,7 @@ def test_sis_irrelevant_partition():
 def test_full_cube_collapses_to_one_clique():
     conds = [mk({1}), mk({1, 2}), mk({1, 3}), mk({1, 2, 3})]
     cliques = ik.find_max_cliques(conds)
-    assert len(cliques) == 1
-    assert len(cliques[0].members) == 4
+    assert spans(cliques) == [(frozenset({1}), mk({1, 2, 3}))]
     s = sim(cliques[0])
     assert s.nonempty == (1,)
     assert s.at_most_one == ()
@@ -58,42 +87,58 @@ def test_full_cube_collapses_to_one_clique():
 def test_punctured_cube_gives_two_maximal_cliques():
     conds = [mk({1, 2}), mk({1, 3}), mk({1, 2, 3})]
     cliques = ik.find_max_cliques(conds)
-    assert sorted(len(c.members) for c in cliques) == [2, 2]
-    keys = {c.member_keys() for c in cliques}
-    assert frozenset({frozenset({1, 2}), frozenset({1, 2, 3})}) in keys
-    assert frozenset({frozenset({1, 3}), frozenset({1, 2, 3})}) in keys
+    assert spans(cliques) == [(frozenset({1, 2}), mk({1, 2, 3})),
+                              (frozenset({1, 3}), mk({1, 2, 3}))]
 
 
 def test_lone_condition_is_a_trivial_clique():
     c = mk({1, 2}, {2})
     cliques = ik.find_max_cliques([c])
-    assert len(cliques) == 1 and len(cliques[0].members) == 1
+    assert spans(cliques) == [(c.nis, c)]
     s = sim(cliques[0])
     assert s == condition_as_sim(c)
     assert s.nonempty == (1,) or (1 in s.nonempty and 2 in s.at_most_one)
 
 
-def test_clique_sizes_are_powers_of_two(sound_reports):
+def test_clique_intervals_are_conditions_of_their_subset(sound_reports):
     for shape in [(0, 1, 1), (1, 1, 0), (0, 2, 1)]:
         report, _ = sound_reports[shape]
-        result = ik.simplify(report.mgic)
-        for clique in result.cliques:
-            n = len(clique.members)
-            assert n & (n - 1) == 0
+        for subset in ik.sis_irrelevant_partition(report.mgic):
+            family = {c.nis: c.sis for c in subset}
+            for clique in ik.find_max_cliques(subset):
+                top = clique.max_member
+                assert clique.low <= top.nis
+                for nis in interval(clique.low, top):
+                    assert family.get(nis) == nis & top.sis, (shape, sorted(nis))
+
+
+def test_sim_is_cis_over_the_interval(sound_reports, large_sound_reports):
+    reports = {**sound_reports, **large_sound_reports}
+    for shape in [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1), (1, 2, 0)]:
+        report, _ = reports[shape]
+        for subset in ik.sis_irrelevant_partition(report.mgic):
+            index = {c.nis: c for c in subset}
+            for clique in ik.find_max_cliques(subset):
+                members = [index[nis] for nis in interval(clique.low, clique.max_member)]
+                s = sim(clique)
+                assert s.nonempty == tuple(sorted(cis(members, "nonempty"))), shape
+                assert s.empty == tuple(sorted(cis(members, "empty"))), shape
+                singletons = frozenset().union(*(c.sis for c in members))
+                assert s.at_most_one == tuple(sorted(singletons)), shape
 
 
 def test_fifteen_name_condition_is_a_trivial_clique():
     c = ik.make_condition((1, 1, 1), range(1, 16))
     cliques = ik.find_max_cliques([c])
-    assert len(cliques) == 1 and cliques[0].members == (c,)
+    assert spans(cliques) == [(c.nis, c)]
     assert sim(cliques[0]) == condition_as_sim(c)
 
 
 def _oracle_cliques(conds):
     """The cube walk from the top down, with a memo over 3^|nis| splits.
 
-    Returns (members, top) per maximal clique, ordered by size and top only;
-    ties keep the iteration order of a set of frozensets.
+    Returns (low, top) per maximal clique, largest first, then by top and
+    low.
     """
     index = {c.nis: c for c in conds}
     maxes = [c for c in conds if not any(c.nis < d.nis for d in conds)]
@@ -124,24 +169,18 @@ def _oracle_cliques(conds):
                     stack.append(cand)
             if not shrinkable:
                 minimal.add(low)
-        for low in minimal:
-            free = sorted(U - low)
-            members = [index[low | {free[j] for j in range(len(free)) if bits >> j & 1}]
-                       for bits in range(1 << len(free))]
-            members.sort(key=ik.ISCondition.sort_key)
-            cliques.append((tuple(members), top))
-    keys = [frozenset(m.nis for m in ms) for ms, _ in cliques]
+        cliques.extend((low, top, frozenset(interval(low, top))) for low in minimal)
     out, out_keys = [], []
-    for (ms, top), k in zip(cliques, keys):
-        if not any(k < o for o in keys) and k not in out_keys:
-            out.append((ms, top))
+    for low, top, k in cliques:
+        if not any(k < o for _, _, o in cliques) and k not in out_keys:
+            out.append((low, top))
             out_keys.append(k)
-    out.sort(key=lambda c: (-len(c[0]), c[1].sort_key()))
+    out.sort(key=lambda c: (-len(c[1].nis - c[0]), c[1].sort_key(), sorted(c[0])))
     return out
 
 
 def _got_cliques(conds):
-    return [(c.members, c.max_member) for c in ik.find_max_cliques(conds)]
+    return spans(ik.find_max_cliques(conds))
 
 
 def test_find_max_cliques_matches_cube_walk_on_reports(sound_reports):
@@ -174,9 +213,7 @@ def test_find_max_cliques_matches_cube_walk_on_random_families():
     rng = random.Random(4242)
     for _ in range(200):
         conds = _random_family(rng)
-        want = sorted(_oracle_cliques(conds),
-                      key=lambda c: (-len(c[0]), c[1].sort_key(), sorted(c[0][0].nis)))
-        assert _got_cliques(conds) == want, [c.to_json() for c in conds]
+        assert _got_cliques(conds) == _oracle_cliques(conds), [c.to_json() for c in conds]
 
 
 def _simplify_bytes(conds):
@@ -199,15 +236,16 @@ def _mask(names):
     return sum(1 << v for v in names)
 
 
-def test_simplify_three_rule_problem_is_exact(large_sound_reports):
-    """Sound 1-1-1 (39392 conditions, |nis| up to 15), support by support."""
+def test_simplify_three_rule_problem_is_exact(large_sound_reports, simplify_stdout):
+    """Sound 1-1-1 (39392 conditions, |nis| up to 15), support by support,
+    on what `isekit simplify` prints."""
     report, _ = large_sound_reports[(1, 1, 1)]
-    result = ik.simplify(report.mgic)
-    assert len(result.disjuncts) == 19 and result.residual == []
+    result = json.loads(simplify_stdout((1, 1, 1)))
+    assert len(result["disjuncts"]) == 19 and result["residual"] == []
     family = {_mask(c.nis): _mask(c.sis) for c in report.mgic}
     space = range(1, 1 << (3 * sum(report.shape)))
-    dis = [(_mask(d.nonempty), _mask(d.empty), _mask(d.at_most_one))
-           for d in result.disjuncts]
+    dis = [(_mask(d["nonempty"]), _mask(d["empty"]), _mask(d["at_most_one"]))
+           for d in result["disjuncts"]]
     # every condition, at its canonical sizes (1 atom per sis name, 2 per
     # other nis name), satisfies some disjunct
     for n, s in family.items():
