@@ -27,23 +27,6 @@ def _error(message) -> int:
     return 2
 
 
-def _jobs(args) -> int:
-    """--jobs, else SE_DISCOVERY_JOBS, else the CPUs this process may use."""
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
-        return args.jobs
-    env = os.environ.get("SE_DISCOVERY_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"SE_DISCOVERY_JOBS must be an integer, got {env!r}") from None
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def cmd_check(args) -> int:
     uni = Universe()
     try:
@@ -83,7 +66,6 @@ def cmd_discover(args) -> int:
     t0 = time.monotonic()
     try:
         config = RunConfig(
-            jobs=_jobs(args),
             max_layer=args.max_layer,
             drop_i5=False if args.keep_i5 else None,
             mode=args.mode,
@@ -109,9 +91,9 @@ def cmd_simplify(args) -> int:
     try:
         with open(args.report) as f:
             report = SearchReport.from_json(json.load(f))
+        result = simplify(report.mgic)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         return _error(f"bad report: {e}")
-    result = simplify(report.mgic)
     sys.stdout.write(json.dumps(result.to_json(), sort_keys=True,
                                 separators=(",", ":")) + "\n")
     for d in result.disjuncts:
@@ -153,14 +135,13 @@ def cmd_regress(args) -> int:
             shapes = [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1)]
         else:
             shapes = [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1), (1, 2, 0), (1, 1, 1)]
-        jobs = _jobs(args)
     except ValueError as e:
         return _error(e)
     failures = 0
     for shape in shapes:
         expect = KNOWN_COUNTS[shape]
         t0 = time.monotonic()
-        report = discover(shape, RunConfig(jobs=jobs, mode=args.mode))
+        report = discover(shape, RunConfig(mode=args.mode))
         elapsed = time.monotonic() - t0
         got = {
             "is": report.stats.get("is"),
@@ -198,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("m", type=int)
     d.add_argument("n", type=int)
     d.add_argument("--mode", choices=["sound", "conjectural"], default="sound")
-    d.add_argument("--jobs", type=int, default=None)
     d.add_argument("--max-layer", type=int, default=None)
     d.add_argument("--keep-i5", action="store_true",
                    help="keep names with a 5 local digit in the filtered universe")
@@ -222,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("regress", help="compare discovery runs to the known counts")
     r.add_argument("--suite", choices=["fast", "slow"], default="fast")
     r.add_argument("--mode", choices=["sound", "conjectural"], default="sound")
-    r.add_argument("--jobs", type=int, default=None)
     r.add_argument("--shapes", default=None, help="comma-separated k-m-n overrides")
     r.set_defaults(fn=cmd_regress)
 

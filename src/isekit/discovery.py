@@ -21,9 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations
 from typing import Optional
 
 from .semantics import Semantics
@@ -38,6 +37,8 @@ class CheckpointError(RuntimeError):
 
 @dataclass
 class RunConfig:
+    # discovery runs in the calling process, so jobs must be 1; the field
+    # goes once the benchmark stops passing jobs=1 (ROADMAP item 2)
     jobs: int = 1
     max_layer: Optional[int] = None
     drop_i5: Optional[bool] = None   # default: drop when k+m+n > 2
@@ -45,8 +46,8 @@ class RunConfig:
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if self.jobs != 1:
+            raise ValueError(f"jobs must be 1, got {self.jobs!r}")
         if self.max_layer is not None and self.max_layer < 1:
             raise ValueError("max_layer must be >= 1")
         if self.mode not in ("sound", "conjectural"):
@@ -410,53 +411,43 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
     tr = layer_hi
     partial = False
 
-    pool = ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else None
     replay = {rec["i"]: rec for rec in ckpt.layers}
     prev: set[int] = set()   # the SE masks of the last layer
-    try:
-        for i in range(1, layer_hi + 1):
-            if i in replay:
-                rec = replay[i]
-                layer_mgic = [ISCondition.from_json(c) for c in rec["mgic"]]
-                layer_fail = [ISCondition.from_json(c) for c in rec["mnse_add"]]
-                verified += rec.get("verified", 0)
-                prev = {sum(1 << index[v] for v in c.nis) for c in layer_mgic}
-            else:
-                # masks come in descending order, so both lists are sorted
-                cands = _layer_candidates(names, i, total, prev)
-                if conjectural and i > total:
-                    # deep layers: every candidate is taken as SE; its
-                    # singletons come from the layer-2 harvest
-                    layer_mgic = [ISCondition(shape=shape, nis=members(s),
-                                              sis=members(s & pool_mask)) for s in cands]
-                    layer_fail, prev, layer_verified = [], set(cands), 0
-                else:
-                    sets = [members(s) for s in cands]
-                    args = (verify_and_compute_mgse, repeat(shape), sets, sets)
-                    if pool is not None:
-                        chunk = max(1, len(sets) // (config.jobs * 4) or 1)
-                        results = list(pool.map(*args, chunksize=chunk))
-                    else:
-                        results = list(map(*args))
-                    layer_mgic = [res for res in results if res is not None]
-                    layer_fail = [ISCondition(shape=shape, nis=nis, sis=nis)
-                                  for nis, res in zip(sets, results) if res is None]
-                    prev = {s for s, res in zip(cands, results) if res is not None}
-                    layer_verified = len(cands)
-                verified += layer_verified
-                ckpt.record_layer(i, layer_mgic, layer_fail, layer_verified)
-            mgic.extend(layer_mgic)
-            mnse.extend(layer_fail)   # candidates hold no earlier failure
-            if i == 2:
-                pool_mask = sum(1 << index[v] for v in {v for c in layer_mgic for v in c.sis})
-            if not layer_mgic and mgic:
-                tr = i
-                break
+    for i in range(1, layer_hi + 1):
+        if i in replay:
+            rec = replay[i]
+            layer_mgic = [ISCondition.from_json(c) for c in rec["mgic"]]
+            layer_fail = [ISCondition.from_json(c) for c in rec["mnse_add"]]
+            verified += rec.get("verified", 0)
+            prev = {sum(1 << index[v] for v in c.nis) for c in layer_mgic}
         else:
-            partial = layer_hi < len(names)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            # masks come in descending order, so both lists are sorted
+            cands = _layer_candidates(names, i, total, prev)
+            if conjectural and i > total:
+                # deep layers: every candidate is taken as SE; its
+                # singletons come from the layer-2 harvest
+                layer_mgic = [ISCondition(shape=shape, nis=members(s),
+                                          sis=members(s & pool_mask)) for s in cands]
+                layer_fail, prev, layer_verified = [], set(cands), 0
+            else:
+                sets = [members(s) for s in cands]
+                results = [verify_and_compute_mgse(shape, nis, nis) for nis in sets]
+                layer_mgic = [res for res in results if res is not None]
+                layer_fail = [ISCondition(shape=shape, nis=nis, sis=nis)
+                              for nis, res in zip(sets, results) if res is None]
+                prev = {s for s, res in zip(cands, results) if res is not None}
+                layer_verified = len(cands)
+            verified += layer_verified
+            ckpt.record_layer(i, layer_mgic, layer_fail, layer_verified)
+        mgic.extend(layer_mgic)
+        mnse.extend(layer_fail)   # candidates hold no earlier failure
+        if i == 2:
+            pool_mask = sum(1 << index[v] for v in {v for c in layer_mgic for v in c.sis})
+        if not layer_mgic and mgic:
+            tr = i
+            break
+    else:
+        partial = layer_hi < len(names)
 
     stats = {
         "is": (1 << (3 * total)) - 1,

@@ -80,7 +80,7 @@ def sis_irrelevant_partition(mgic: Iterable[ISCondition]) -> list[list[ISConditi
     for s in (s1, s2):
         if s and not any(set(s) == set(t) for t in subsets):
             subsets.append(s)
-    subsets.sort(key=lambda s: (-len(s), min(c.sort_key() for c in s)))
+    subsets.sort(key=len, reverse=True)
     return subsets
 
 
@@ -153,7 +153,11 @@ def condition_as_sim(c: ISCondition) -> SimplifiedCondition:
 
 
 def simplify(mgic: Iterable[ISCondition]) -> SimplifyResult:
+    """Raises ValueError if two conditions share a nis: cliques and the
+    residual test match conditions by nis alone."""
     conds = list(mgic)
+    if len({c.nis for c in conds}) < len(conds):
+        raise ValueError("two conditions share a nis")
     if not conds:
         return SimplifyResult(disjuncts=[], cliques=[], residual=[])
     cliques: list[Clique] = []

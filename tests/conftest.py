@@ -14,7 +14,7 @@ def _timed_sound_reports(shapes):
     out = {}
     for shape in shapes:
         t0 = time.monotonic()
-        report = ik.discover(shape, ik.RunConfig(jobs=1))
+        report = ik.discover(shape, ik.RunConfig())
         out[shape] = (report, time.monotonic() - t0)
     return out
 

@@ -2,7 +2,11 @@
 
 import contextlib
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import isekit as ik
 from isekit import Semantics, TransformKind
@@ -360,8 +364,14 @@ def test_criterion_10_conjectural_matches_sound(sound_reports, large_sound_repor
             assert conjectural_reports[shape].same_findings(sound)
 
 
-def test_criterion_11_parallel_determinism(sound_reports):
+def test_criterion_11_determinism_across_processes(sound_reports):
+    """Fresh processes with different string-hash seeds print the same bytes
+    as an in-process run."""
+    want = sound_reports[(0, 1, 1)][0].dumps()
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     with criterion(11):
-        one = ik.discover((0, 1, 1), ik.RunConfig(jobs=1))
-        eight = ik.discover((0, 1, 1), ik.RunConfig(jobs=8))
-        assert one.dumps() == eight.dumps()
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            run = subprocess.run([sys.executable, "-m", "isekit.cli", "discover", "0", "1", "1"],
+                                 env=env, capture_output=True, text=True, check=True)
+            assert run.stdout == want, seed

@@ -47,7 +47,7 @@ def test_check_errors(tmp_path, capsys):
 
 
 def test_discover_json_to_stdout(capsys):
-    assert main(["discover", "0", "1", "0", "--jobs", "1"]) == 0
+    assert main(["discover", "0", "1", "0"]) == 0
     out, err = capsys.readouterr()
     obj = json.loads(out)
     assert obj["shape"] == [0, 1, 0]
@@ -58,23 +58,23 @@ def test_discover_json_to_stdout(capsys):
 
 def test_discover_out_file(tmp_path, capsys):
     out_path = str(tmp_path / "report.json")
-    assert main(["discover", "0", "1", "0", "--jobs", "1", "--out", out_path]) == 0
+    assert main(["discover", "0", "1", "0", "--out", out_path]) == 0
     report = ik.SearchReport.from_json(json.loads(open(out_path).read()))
     assert report.max_nse == 1
 
 
 def test_discover_out_file_replaces_whole(tmp_path, capsys):
-    assert main(["discover", "0", "1", "1", "--jobs", "1"]) == 0
+    assert main(["discover", "0", "1", "1"]) == 0
     stdout = capsys.readouterr().out
     out_path = tmp_path / "report.json"
     out_path.write_text("an older report\n")
-    assert main(["discover", "0", "1", "1", "--jobs", "1", "--out", str(out_path)]) == 0
+    assert main(["discover", "0", "1", "1", "--out", str(out_path)]) == 0
     assert out_path.read_text() == stdout
     assert os.listdir(tmp_path) == ["report.json"]   # no temp file left behind
     # an unwritable target is one error line, and leaves no temp file either
     missing = tmp_path / "missing" / "report.json"
     capsys.readouterr()
-    assert main(["discover", "0", "1", "1", "--jobs", "1", "--out", str(missing)]) == 2
+    assert main(["discover", "0", "1", "1", "--out", str(missing)]) == 2
     assert_one_error_line(capsys)
     assert os.listdir(tmp_path) == ["report.json"]
 
@@ -85,14 +85,14 @@ def test_discover_rejects_huge_shape(capsys):
 
 def test_discover_rejects_negative_rule_count(capsys):
     for counts in (["1", "-1", "1"], ["0", "-1", "0"]):
-        assert main(["discover", *counts, "--jobs", "1"]) == 2
+        assert main(["discover", *counts]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (out, err)
 
 
 def test_simplify_report(tmp_path, capsys):
     out_path = str(tmp_path / "report.json")
-    main(["discover", "0", "1", "0", "--jobs", "1", "--out", out_path])
+    main(["discover", "0", "1", "0", "--out", out_path])
     capsys.readouterr()
     assert main(["simplify", out_path]) == 0
     out, err = capsys.readouterr()
@@ -112,6 +112,15 @@ def test_simplify_bad_report(tmp_path, capsys):
     out_of_range = write(tmp_path, "range.json", json.dumps(report))
     assert main(["simplify", out_of_range]) == 2
     assert_one_error_line(capsys)
+    # two conditions with one nis: simplify would drop one of them
+    report = ik.SearchReport(shape=(0, 1, 1),
+                             mgic=[ik.make_condition((0, 1, 1), {1}, set()),
+                                   ik.make_condition((0, 1, 1), {1}, {1})],
+                             mnse=[], tr=1, max_nse=0, stats={})
+    repeated = write(tmp_path, "repeated.json", report.dumps())
+    assert main(["simplify", repeated]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: bad report: two conditions share a nis\n", (out, err)
 
 
 def test_transform(tmp_path, capsys):
@@ -129,7 +138,7 @@ def test_transform_guard_error(tmp_path, capsys):
 
 
 def test_regress_single_shape(capsys):
-    assert main(["regress", "--shapes", "0-1-0", "--jobs", "1"]) == 0
+    assert main(["regress", "--shapes", "0-1-0"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS 0-1-0")
 
@@ -137,7 +146,7 @@ def test_regress_single_shape(capsys):
 def test_regress_rejects_bad_shapes(capsys):
     # no known counts, too few counts, a count that is no integer
     for shapes in ("0-2-2", "0-1", "x-1-1", "0-1-0,1-1"):
-        assert main(["regress", "--shapes", shapes, "--jobs", "1"]) == 2
+        assert main(["regress", "--shapes", shapes]) == 2
         out, err = capsys.readouterr()
         assert out == "", shapes
         assert err.startswith("error: ") and err.count("\n") == 1, (shapes, err)
@@ -150,27 +159,31 @@ def assert_one_error_line(capsys):
 
 def test_discover_checkpoint_of_other_shape(tmp_path, capsys):
     ck = str(tmp_path / "ck.jsonl")
-    assert main(["discover", "0", "1", "1", "--jobs", "1", "--checkpoint", ck]) == 0
+    assert main(["discover", "0", "1", "1", "--checkpoint", ck]) == 0
     capsys.readouterr()
-    assert main(["discover", "1", "1", "0", "--jobs", "1", "--checkpoint", ck]) == 2
+    assert main(["discover", "1", "1", "0", "--checkpoint", ck]) == 2
     assert_one_error_line(capsys)
 
 
 def test_discover_max_layer_below_one(capsys):
     for value in ("0", "-1"):
-        assert main(["discover", "0", "1", "1", "--jobs", "1", "--max-layer", value]) == 2
+        assert main(["discover", "0", "1", "1", "--max-layer", value]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: max_layer must be >= 1\n", (out, err)
 
 
-def test_bad_job_counts(monkeypatch, capsys):
-    assert main(["regress", "--shapes", "0-1-0", "--jobs", "0"]) == 2
-    assert_one_error_line(capsys)
-    monkeypatch.setenv("SE_DISCOVERY_JOBS", "two")
-    assert main(["discover", "0", "1", "0"]) == 2
-    assert_one_error_line(capsys)
-    assert main(["regress", "--shapes", "0-1-0"]) == 2
-    assert_one_error_line(capsys)
+def test_bad_job_counts(capsys):
+    # discovery runs in one process: no --jobs flag, and RunConfig takes jobs=1 only
+    for argv in (["discover", "0", "1", "0", "--jobs", "1"],
+                 ["regress", "--shapes", "0-1-0", "--jobs", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    for jobs in (0, 2, 8, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            ik.RunConfig(jobs=jobs)
+    assert ik.RunConfig(jobs=1).jobs == 1
 
 
 def test_simplify_fifteen_name_condition(tmp_path, capsys):

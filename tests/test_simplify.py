@@ -1,5 +1,6 @@
 """Clique compression of discovered condition families."""
 
+import importlib
 import itertools
 import json
 import random
@@ -230,6 +231,47 @@ def test_simplify_ignores_input_order(sound_reports):
             rng.shuffle(shuffled)
             assert _simplify_bytes(shuffled) == want, shape
         assert _simplify_bytes(c for c in report.mgic) == want, shape
+
+
+def test_simplify_rejects_a_repeated_nis():
+    # either order: one of the two would be dropped, and with it the size
+    # assignment {1: 2} that only the first admits
+    pair = [mk({1}), mk({1}, {1})]
+    for conds in (pair, pair[::-1]):
+        with pytest.raises(ValueError, match="share a nis"):
+            ik.simplify(conds)
+
+
+def test_simplify_rejects_random_families_with_a_repeated_nis():
+    rng = random.Random(1729)
+    for _ in range(100):
+        conds = _random_family(rng)
+        if not conds:
+            continue
+        twin = rng.choice(conds)
+        conds.insert(rng.randint(0, len(conds)),
+                     mk(twin.nis, frozenset(rng.sample(sorted(twin.nis), rng.randint(0, 1)))))
+        with pytest.raises(ValueError, match="share a nis"):
+            ik.simplify(conds)
+
+
+def test_simplify_ignores_partition_order(large_sound_reports, simplify_stdout, monkeypatch):
+    """With distinct nis, the order of the partition's subsets cannot change
+    the output: sound 1-1-1 has two subsets, tried here the other way round."""
+    report, _ = large_sound_reports[(1, 1, 1)]
+    want = simplify_stdout((1, 1, 1))
+    module = importlib.import_module("isekit.simplify")
+    partition = module.sis_irrelevant_partition
+    seen = []
+
+    def reversed_partition(conds):
+        subsets = partition(conds)
+        seen.append(len(subsets))
+        return subsets[::-1]
+
+    monkeypatch.setattr(module, "sis_irrelevant_partition", reversed_partition)
+    assert _simplify_bytes(report.mgic) + "\n" == want
+    assert seen == [2]
 
 
 def _mask(names):
