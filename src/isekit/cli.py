@@ -4,7 +4,7 @@
   isekit discover K M N [--mode ...]           run the condition search
   isekit simplify report.json                  compress a search report
   isekit transform prog.lp --op s-rp ...       apply one set transformation
-  isekit regress --suite fast                  compare runs to the known counts
+  isekit regress [--shapes K-M-N,...]          compare runs to the known counts
 """
 from __future__ import annotations
 
@@ -129,12 +129,8 @@ def _known_shape(text: str) -> tuple:
 
 def cmd_regress(args) -> int:
     try:
-        if args.shapes:
-            shapes = [_known_shape(s) for s in args.shapes.split(",")]
-        elif args.suite == "fast":
-            shapes = [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1)]
-        else:
-            shapes = [(0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1), (1, 2, 0), (1, 1, 1)]
+        shapes = ([_known_shape(s) for s in args.shapes.split(",")] if args.shapes
+                  else list(KNOWN_COUNTS))
     except ValueError as e:
         return _error(e)
     failures = 0
@@ -200,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=cmd_transform)
 
     r = sub.add_parser("regress", help="compare discovery runs to the known counts")
-    r.add_argument("--suite", choices=["fast", "slow"], default="fast")
     r.add_argument("--mode", choices=["sound", "conjectural"], default="sound")
     r.add_argument("--shapes", default=None, help="comma-separated k-m-n overrides")
     r.set_defaults(fn=cmd_regress)

@@ -271,13 +271,10 @@ def _parse_rule_tokens(toks, lineno: int, universe: Universe) -> Rule:
 def parse_program(text: str, universe: Universe) -> Program:
     rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        toks = _tokenize(raw, lineno)
-        if not toks:
-            continue
-        rules.append(_parse_rule_tokens(toks, lineno, universe))
+        # a comment runs from '%' to the end of the line; no token holds '%'
+        toks = _tokenize(raw.partition("%")[0], lineno)
+        if toks:
+            rules.append(_parse_rule_tokens(toks, lineno, universe))
     return Program(rules=tuple(rules), universe=universe)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Optional
 
 from .program import Program, Rule, bits, popcount
@@ -78,9 +77,9 @@ def lpmln_reduct(p: Program, X: int) -> Program:
     return Program(rules=rules, universe=p.universe)
 
 
-def _check_pow2_cap(n_atoms: int, cap: int):
+def _check_cap(n_atoms: int, cap: int, scan: str):
     if n_atoms > cap:
-        raise CapExceededError(f"universe of {n_atoms} atoms exceeds 2^n cap {cap}")
+        raise CapExceededError(f"{scan} scan over {n_atoms} atoms exceeds cap {cap}")
 
 
 def _submasks(mask: int):
@@ -109,11 +108,10 @@ def is_stable(p: Program, X: int, sem: Semantics) -> bool:
     return _asp_stable(lpmln_reduct(p, X), X)
 
 
-def stable_models(p: Program, sem: Semantics, universe_mask: int,
-                  cap: int = DEFAULT_POW2_CAP) -> set[int]:
+def stable_models(p: Program, sem: Semantics, universe_mask: int) -> set[int]:
     if p.atoms() & ~universe_mask:
         raise ValueError("universe does not cover the program's atoms")
-    _check_pow2_cap(popcount(universe_mask), cap)
+    _check_cap(popcount(universe_mask), DEFAULT_POW2_CAP, "2^n")
     out = set()
     for X in _submasks(universe_mask):
         if is_stable(p, X, sem):
@@ -141,12 +139,10 @@ def ht_satisfies(i: HTInterpretation, r: Rule, sem: Semantics) -> bool:
     return bool(X & r.head) or bool(r.pbody & ~X)
 
 
-def ht_models(p: Program, universe_mask: int, sem: Semantics,
-              cap: int = DEFAULT_POW3_CAP) -> set[HTInterpretation]:
+def ht_models(p: Program, universe_mask: int, sem: Semantics) -> set[HTInterpretation]:
     if p.atoms() & ~universe_mask:
         raise ValueError("universe does not cover the program's atoms")
-    if popcount(universe_mask) > cap:
-        raise CapExceededError(f"3^n scan over {popcount(universe_mask)} atoms exceeds cap {cap}")
+    _check_cap(popcount(universe_mask), DEFAULT_POW3_CAP, "3^n")
     out = set()
     for Y in _submasks(universe_mask):
         for X in _submasks(Y):
@@ -160,107 +156,91 @@ def ht_models(p: Program, universe_mask: int, sem: Semantics,
 #
 # For a fixed there-world Y over u atoms, the admissible here-worlds of a
 # program form a subset of {0..2^u-1}; we store it as an int with bit X set
-# iff X is admissible. Per-rule masks only depend on (head, pbody), so they
-# are cached across the programs of one process: the pairs `check` compares
-# and the programs the tests verify (discovery uses `isets.CanonicalSearch`).
+# iff X is admissible. Each call compiles its rules once and keeps nothing
+# after it returns.
 
-@lru_cache(maxsize=None)
-def _atom_mask(a: int, u: int) -> int:
-    """Big integer over the X-space: bit X set iff atom a ∈ X."""
-    s = 1 << a
-    unit = ((1 << s) - 1) << s          # 2s-wide chunk: s zeros then s ones
-    reps = 1 << (u - a - 1)
-    period = 1 << (2 * s)
-    return unit * (((1 << (2 * s * reps)) - 1) // (period - 1))
+def _compile(p: Program, q: Program, atoms: list[int]):
+    """The distinct rules of p and of q over the dense numbering of atoms.
 
+    Each rule becomes (head, pbody, nbody, here), where bit X of `here` is set
+    iff X satisfies head <- pbody classically; a rule of both is compiled once.
+    Both results map (head, pbody, nbody) to that 4-tuple.
+    """
+    u = len(atoms)
+    full = (1 << (1 << u)) - 1
+    column = []                      # bit X of column[a] set iff atom a ∈ X
+    for a in range(u):
+        s = 1 << a
+        column.append((((1 << s) - 1) << s) * (full // ((1 << 2 * s) - 1)))
+    index = {a: i for i, a in enumerate(atoms)}
+    compiled = {}
 
-@lru_cache(maxsize=None)
-def _full_space(u: int) -> int:
-    return (1 << (1 << u)) - 1
+    def squeeze(mask):
+        return sum(1 << index[a] for a in bits(mask))
 
+    def rules(prog):
+        out = {}
+        for r in prog.rules:
+            t = (squeeze(r.head), squeeze(r.pbody), squeeze(r.nbody))
+            if t not in compiled:
+                here = 0
+                for a in bits(t[0]):
+                    here |= column[a]
+                if t[1]:
+                    sup = full
+                    for a in bits(t[1]):
+                        sup &= column[a]
+                    here |= full ^ sup
+                compiled[t] = (*t, here)
+            out[t] = compiled[t]
+        return out
 
-@lru_cache(maxsize=1 << 16)
-def _reduct_allowed(head: int, pbody: int, u: int) -> int:
-    """X-sets satisfying head <- pbody classically (negative body already gone)."""
-    full = _full_space(u)
-    m = 0
-    for a in bits(head):
-        m |= _atom_mask(a, u)
-    if pbody:
-        sup = full
-        for a in bits(pbody):
-            sup &= _atom_mask(a, u)
-        m |= full ^ sup
-    return m
-
-
-@lru_cache(maxsize=1 << 15)
-def _subset_space(Y: int) -> int:
-    """Big integer with bit X set iff X ⊆ Y."""
-    m = 1
-    y = Y
-    while y:
-        b = y & -y
-        m |= m << b
-        y ^= b
-    return m
+    return rules(p), rules(q), full
 
 
-def _allowed_here(rule_triples, Y: int, sem: Semantics, u: int) -> int:
-    """Admissible here-worlds of the program at there-world Y (unrestricted)."""
-    full = _full_space(u)
+def _allowed_here(rules, Y: int, hard: bool, full: int) -> int:
+    """Admissible here-worlds X ⊆ Y of a program at there-world Y; bits of
+    X ⊄ Y are left unspecified."""
     allowed = full
-    for h, pb, nb in rule_triples:
-        if (Y & h) or (pb & ~Y) or (nb & Y):      # Y satisfies the rule
-            if nb & Y:
-                continue                          # dropped by the GL-reduct
-            allowed &= _reduct_allowed(h, pb, u)
+    for h, pb, nb, here in rules:
+        if nb & Y or pb & ~Y:
+            continue            # dropped by the GL-reduct, or vacuous for X ⊆ Y
+        if h & Y:
+            allowed &= here
             if not allowed:
                 return 0
-        else:
-            if sem is Semantics.ASP:
-                return 0                          # hard rule fails at Y
-            # soft rule: vacuously HT-satisfied
+        elif hard:
+            return 0            # a hard rule fails at Y
+        # a soft rule that Y violates is vacuously HT-satisfied
     return allowed
 
 
-def _compact_triples(rules, remap: dict[int, int]):
-    def squeeze(mask):
-        m = 0
-        for a in bits(mask):
-            m |= 1 << remap[a]
-        return m
-
-    seen = set()
-    out = []
-    for r in rules:
-        t = (squeeze(r.head), squeeze(r.pbody), squeeze(r.nbody))
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+def _subset_space(Y: int) -> int:
+    """Big integer with bit X set iff X ⊆ Y."""
+    m = 1
+    for a in bits(Y):
+        m |= m << (1 << a)
+    return m
 
 
-def equivalent(p: Program, q: Program, sem: Semantics,
-               cap: int = DEFAULT_POW3_CAP) -> tuple[bool, Optional[HTInterpretation]]:
+def equivalent(p: Program, q: Program,
+               sem: Semantics) -> tuple[bool, Optional[HTInterpretation]]:
     """HT-model-set comparison over at(p) ∪ at(q).
 
     Returns (verdict, witness); the witness is the lexicographically first
     distinguishing (Y, X) pair, mapped back to the shared universe.
     """
-    joint = p.atoms() | q.atoms()
-    atoms = list(bits(joint))
+    atoms = list(bits(p.atoms() | q.atoms()))
     u = len(atoms)
-    if u > cap:
-        raise CapExceededError(f"HT scan over {u} atoms exceeds cap {cap}")
-    remap = {a: i for i, a in enumerate(atoms)}
-    tp = _compact_triples(p.rules, remap)
-    tq = _compact_triples(q.rules, remap)
-    if sorted(tp) == sorted(tq):
+    _check_cap(u, DEFAULT_POW3_CAP, "HT")
+    rp, rq, full = _compile(p, q, atoms)
+    if rp.keys() == rq.keys():
         return True, None
+    rp, rq = list(rp.values()), list(rq.values())
+    hard = sem is Semantics.ASP
     for Y in range(1 << u):
-        ap = _allowed_here(tp, Y, sem, u)
-        aq = _allowed_here(tq, Y, sem, u)
+        ap = _allowed_here(rp, Y, hard, full)
+        aq = _allowed_here(rq, Y, hard, full)
         if ap == aq:
             continue
         diff = (ap ^ aq) & _subset_space(Y)

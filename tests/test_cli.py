@@ -44,6 +44,12 @@ def test_check_errors(tmp_path, capsys):
     assert main(["check", a, b]) == 2
     assert "error" in capsys.readouterr().err
     assert main(["check", str(tmp_path / "missing.lp"), b]) == 2
+    # the HT scan refuses more than 17 atoms
+    wide = write(tmp_path, "wide.lp", "".join(f"x{i}.\n" for i in range(18)))
+    capsys.readouterr()
+    assert main(["check", wide, b]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "18 atoms" in err and err.count("\n") == 1
 
 
 def test_discover_json_to_stdout(capsys):
@@ -141,6 +147,15 @@ def test_regress_single_shape(capsys):
     assert main(["regress", "--shapes", "0-1-0"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS 0-1-0")
+
+
+def test_regress_has_no_suite_flag(capsys):
+    # regress runs every known shape unless --shapes names some
+    for suite in ("fast", "slow"):
+        with pytest.raises(SystemExit) as exc:
+            main(["regress", "--suite", suite])
+        assert exc.value.code == 2
+        assert "--suite" in capsys.readouterr().err
 
 
 def test_regress_rejects_bad_shapes(capsys):

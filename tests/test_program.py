@@ -1,5 +1,6 @@
 """Parser, renderer, and tuple plumbing."""
 
+import pathlib
 import random
 
 import pytest
@@ -37,8 +38,22 @@ def test_parse_empty_input():
 
 
 def test_parse_comments_and_blanks():
-    p = ik.parse_program("% a comment\n\na.\n   % another\nb :- a.\n", ik.Universe())
-    assert len(p) == 2
+    u = ik.Universe()
+    p = ik.parse_program("% a comment\n\na.\n   % another\nb :- a.\n"
+                         "c | d :- a, not b.   % trailing comment\n", u)
+    assert len(p) == 3
+    assert u.names == ["a", "b", "c", "d"]
+
+
+def test_parse_readme_format_block():
+    """The program-format example of the README parses verbatim."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Program text format", 1)[1]
+    block = section.split("```", 2)[1]
+    u = ik.Universe()
+    p = ik.parse_program(block, u)
+    assert ik.render_program(p) == ("a | b :- c, not d.\na.\n:- a, not c.\n"
+                                    "2 : :- a, not c.\n:- .\n")
 
 
 def test_parse_fact_line_has_empty_body():

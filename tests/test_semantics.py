@@ -1,6 +1,8 @@
 """Classical satisfaction, reducts, stable models, HT-models, equivalence."""
 
+import importlib
 import math
+import pkgutil
 import random
 
 import pytest
@@ -84,7 +86,7 @@ def test_stable_models_cap():
     u = ik.Universe()
     p = ik.Program(rules=(), universe=u)
     with pytest.raises(ik.CapExceededError):
-        ik.stable_models(p, ASP, (1 << 25) - 1, cap=20)
+        ik.stable_models(p, ASP, (1 << 25) - 1)
 
 
 def test_weight_degree():
@@ -264,14 +266,25 @@ def test_equivalent_agrees_with_ht_model_sets(sem):
             joint = p.atoms() | q.atoms()
             widths.append(joint.bit_count())
             verdict, witness = ik.equivalent(p, q, sem)
-            assert verdict == (ik.ht_models(p, joint, sem) == ik.ht_models(q, joint, sem))
+            split = ik.ht_models(p, joint, sem) ^ ik.ht_models(q, joint, sem)
+            assert verdict == (not split)
             if not verdict:
                 in_p = all(ik.ht_satisfies(witness, r, sem) for r in p.rules)
                 in_q = all(ik.ht_satisfies(witness, r, sem) for r in q.rules)
                 assert in_p != in_q
+                # the witness is the first distinguishing pair, there-world first
+                assert (witness.there, witness.here) == min((i.there, i.here) for i in split)
             verdicts.add(verdict)
         assert verdicts == {True, False}, n
         assert widths.count(n) >= 15, (n, widths)   # the kernel scans all n atoms
+
+
+def test_no_module_keeps_a_cache():
+    """The package keeps no process-global memo: no function is an lru_cache."""
+    for info in pkgutil.iter_modules(ik.__path__, "isekit."):
+        module = importlib.import_module(info.name)
+        cached = [name for name, obj in vars(module).items() if hasattr(obj, "cache_info")]
+        assert not cached, (info.name, cached)
 
 
 def test_ht_interpretation_requires_subset():
