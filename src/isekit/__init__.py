@@ -1,6 +1,6 @@
 """Equivalence checking and SE-condition discovery for ground logic programs."""
 
-from .program import (Atom, Universe, Rule, Program, ProgramTuple,
+from .program import (Universe, Rule, Program, ProgramTuple,
                       parse_program, render_program, render_rule,
                       concat_tuple, ParseError, MixedUniverseError)
 from .semantics import (Semantics, HTInterpretation, satisfies, gl_reduct,

@@ -372,6 +372,9 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
     conjectural = config.mode == "conjectural"
     total = sum(shape)
     if total <= 1:
+        if config.max_layer is not None or config.checkpoint_path is not None:
+            raise ValueError("shapes of at most one rule have no layers to cap or resume: "
+                             "drop max_layer and checkpoint_path")
         return _discover_plain(shape, config.mode)
 
     is_prime = base_name_universe(shape, config.drop_i5)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 
@@ -33,11 +33,6 @@ class DuplicateTerminatorError(ParseError):
 
 class MixedUniverseError(ValueError):
     pass
-
-
-class Atom(NamedTuple):
-    id: int
-    name: str
 
 
 class Universe:
@@ -69,9 +64,6 @@ class Universe:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def atoms(self) -> list[Atom]:
-        return [Atom(i, n) for i, n in enumerate(self.names)]
 
     def mask_of(self, names: Iterable[str]) -> int:
         m = 0

@@ -45,10 +45,6 @@ class HTInterpretation:
         if self.here & ~self.there:
             raise ValueError("here must be a subset of there")
 
-    @property
-    def total(self) -> bool:
-        return self.here == self.there
-
     def format(self, universe) -> str:
         def fmt(mask):
             return "{" + ",".join(universe.names[i] for i in bits(mask)) + "}"

@@ -1,22 +1,23 @@
 """Atom-level edits of a single independent set, with cardinality guards.
 
-Each transformation edits one bucket of the tuple's independent-set
-assignment and rebuilds the tuple, so all other buckets are untouched by
-construction:
+Each transformation takes an atom out of one set, puts a fresh atom in, or
+both. Every atom of a set lies in the same rule parts, so an edit of the set
+is one bit edit of every rule; rule weights, rule order and all other sets
+are kept by construction:
 
-  replace (size > 0)          swap one atom of the set for a fresh one
-  delete_large (size > 2)     remove an atom from a big set
+  replace (size > 0)           swap one atom of the set for a fresh one
+  delete_large (size > 2)      remove an atom from a big set
   delete_small (0 < size <= 2) remove an atom from a small set
-  add (size >= 2)             grow a big set with a fresh atom
-  extend (size <= 1)          grow an empty/singleton set with a fresh atom
+  add (size >= 2)              grow a big set with a fresh atom
+  extend (size <= 1)           grow an empty/singleton set with a fresh atom
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 
-from .program import ProgramTuple, popcount
-from .isets import extract_isets, reconstruct_tuple
+from .program import ProgramTuple, Rule, popcount
+from .isets import ShapeMismatchError, _rule_masks, _tuple_of, extract_isets
 
 
 class TransformKind(Enum):
@@ -45,85 +46,58 @@ class PreservationClass:
     nse_preserving: bool
 
 
+# kind: (least set size, greatest set size or None, takes an atom out,
+#        puts a fresh atom in)
+_EDITS = {
+    TransformKind.S_RP: (1, None, True, True),
+    TransformKind.S_DL: (3, None, True, False),
+    TransformKind.S_RD: (1, 2, True, False),
+    TransformKind.S_AD: (2, None, False, True),
+    TransformKind.S_EX: (0, 1, False, True),
+}
+
+
+def _guard(kind: TransformKind, size: int):
+    least, greatest, _, _ = _EDITS[kind]
+    if size < least or (greatest is not None and size > greatest):
+        bound = f"{least} <= |I|" + ("" if greatest is None else f" <= {greatest}")
+        raise TransformGuardError(f"{kind.value} needs {bound}, got |I|={size}")
+
+
 def apply_transform(T: ProgramTuple, kind: TransformKind, name: int,
                     atom: str | None = None, fresh: str | None = None) -> ProgramTuple:
-    assignment = extract_isets(T)
-    bucket = assignment.get(name, 0)
-    size = popcount(bucket)
+    n = T.n_rules
+    if not 1 <= name < 1 << (3 * n):
+        raise ShapeMismatchError(f"set name {name} does not fit a {n}-rule tuple")
+    bucket = extract_isets(T).get(name, 0)
+    _guard(kind, popcount(bucket))
+    _, _, takes_out, puts_in = _EDITS[kind]
     universe = T.universe
-
-    def atom_bit() -> int:
+    out = new = 0
+    if takes_out:
         if atom is None:
             raise UnknownAtomError(f"{kind.value} needs an atom to act on")
         if atom not in universe:
             raise UnknownAtomError(f"unknown atom {atom!r}")
-        bit = 1 << universe.id_of(atom)
-        if not bucket & bit:
+        out = 1 << universe.id_of(atom)
+        if not bucket & out:
             raise UnknownAtomError(f"atom {atom!r} is not in independent set {name}")
-        return bit
-
-    def fresh_bit() -> int:
+    if puts_in:
         if fresh is None:
             raise FreshAtomCollisionError(f"{kind.value} needs a fresh atom name")
         if fresh in universe and (1 << universe.id_of(fresh)) & T.atoms():
             raise FreshAtomCollisionError(f"atom {fresh!r} already occurs in the tuple")
-        return 1 << universe.intern(fresh)
-
-    if kind is TransformKind.S_RP:
-        if size < 1:
-            raise TransformGuardError(f"replace needs a non-empty set, |I_{name}|={size}")
-        new_bucket = (bucket ^ atom_bit()) | fresh_bit()
-    elif kind is TransformKind.S_DL:
-        if size <= 2:
-            raise TransformGuardError(f"delete_large needs |I| > 2, |I_{name}|={size}")
-        new_bucket = bucket ^ atom_bit()
-    elif kind is TransformKind.S_RD:
-        if not 0 < size <= 2:
-            raise TransformGuardError(f"delete_small needs 0 < |I| <= 2, |I_{name}|={size}")
-        new_bucket = bucket ^ atom_bit()
-    elif kind is TransformKind.S_AD:
-        if size < 2:
-            raise TransformGuardError(f"add needs |I| >= 2, |I_{name}|={size}")
-        new_bucket = bucket | fresh_bit()
-    elif kind is TransformKind.S_EX:
-        if size > 1:
-            raise TransformGuardError(f"extend needs |I| <= 1, |I_{name}|={size}")
-        new_bucket = bucket | fresh_bit()
-    else:  # pragma: no cover
-        raise ValueError(f"unknown transform {kind}")
-
-    if new_bucket:
-        assignment[name] = new_bucket
-    else:
-        assignment.pop(name, None)
-    return reconstruct_tuple(universe, T.segment_sizes, assignment)
+        new = 1 << universe.intern(fresh)
+    rules = [Rule((r.head & ~out) | h, (r.pbody & ~out) | b, (r.nbody & ~out) | nb, r.weight)
+             for r, (h, b, nb) in zip(T.rules, _rule_masks(n, {name: new}))]
+    return _tuple_of(universe, T.segment_sizes, rules)
 
 
 def preservation_class(kind: TransformKind, set_size_before: int) -> PreservationClass:
     """SE/NSE preservation per transformation variant (same for both semantics)."""
-    size = set_size_before
-    if kind is TransformKind.S_RP:
-        if size < 1:
-            raise TransformGuardError("replace needs |I| > 0")
-        return PreservationClass(True, True)
-    if kind is TransformKind.S_DL:
-        if size <= 2:
-            raise TransformGuardError("delete_large needs |I| > 2")
-        return PreservationClass(True, True)
-    if kind is TransformKind.S_AD:
-        if size < 2:
-            raise TransformGuardError("add needs |I| >= 2")
-        return PreservationClass(True, True)
+    _guard(kind, set_size_before)
     if kind is TransformKind.S_RD:
-        if size == 2:
-            return PreservationClass(True, False)
-        if size == 1:
-            return PreservationClass(False, False)
-        raise TransformGuardError("delete_small needs 0 < |I| <= 2")
+        return PreservationClass(set_size_before == 2, False)
     if kind is TransformKind.S_EX:
-        if size == 1:
-            return PreservationClass(False, True)
-        if size == 0:
-            return PreservationClass(False, False)
-        raise TransformGuardError("extend needs |I| <= 1")
-    raise ValueError(f"unknown transform {kind}")  # pragma: no cover
+        return PreservationClass(False, set_size_before == 1)
+    return PreservationClass(True, True)

@@ -15,9 +15,7 @@ from isekit.semantics import HTInterpretation
 ASP = Semantics.ASP
 LPMLN = Semantics.LPMLN
 
-RP, DL, RD, AD, EX = (TransformKind.S_RP, TransformKind.S_DL,
-                      TransformKind.S_RD, TransformKind.S_AD,
-                      TransformKind.S_EX)
+RD = TransformKind.S_RD
 
 
 @contextlib.contextmanager
@@ -272,24 +270,17 @@ def _check_preservation_matrix(shape, conds, expect_equiv):
             mask = assignment[name]
             size = bin(mask).count("1")
             atom = _first_atom(T.universe, mask)
-            plans = []
-            # (T, T) transforms keep the verdict either way
-            plans.append((RP, dict(atom=atom, fresh="z0"), True, True))
-            if size >= 2:
-                plans.append((AD, dict(fresh="z0"), True, True))
-                # shrinking a pair keeps equivalence but may repair a failure
-                plans.append((RD, dict(atom=atom), True, False))
-            if size == 1:
-                # growing a singleton keeps inequivalence only
-                plans.append((EX, dict(fresh="z0"), False, True))
-            for kind, kwargs, se_claim, nse_claim in plans:
+            for kind in TransformKind:
+                try:
+                    claims = ik.preservation_class(kind, size)
+                except ik.TransformGuardError:
+                    continue
                 if not exhaustive and (kind, size) in done:
                     continue
                 done.add((kind, size))
-                claim = se_claim if expect_equiv else nse_claim
-                if not claim:
+                if not (claims.se_preserving if expect_equiv else claims.nse_preserving):
                     continue
-                T2 = ik.apply_transform(T, kind, name, **kwargs)
+                T2 = ik.apply_transform(T, kind, name, atom=atom, fresh="z0")
                 assert tuple_equivalent(T2, ik.extract_isets(T2)) == expect_equiv, \
                     f"{kind.value} on I_{name} of {sorted(c.nis)} flipped the verdict"
     assert skipped <= total * 0.10, f"too many over-cap tuples: {skipped}/{total}"

@@ -130,17 +130,25 @@ def test_simplify_bad_report(tmp_path, capsys):
 
 
 def test_transform(tmp_path, capsys):
-    prog = write(tmp_path, "p.lp", "a | b | d :- b, c, not c.\n")
-    assert main(["transform", prog, "--op", "s-rp", "--iset", "3",
-                 "--atom", "c", "--fresh", "x"]) == 0
-    assert capsys.readouterr().out == "a | b | d :- b, x, not x.\n"
+    # the second program keeps its weights and rule order; I_256 = {a}
+    for text, iset, atom, want in [
+            ("a | b | d :- b, c, not c.\n", "3", "c", "a | b | d :- b, x, not x.\n"),
+            ("2 : a | c :- b.\nb :- c.\n0.5 : d.\n", "256", "a",
+             "2 : c | x :- b.\nb :- c.\n0.5 : d.\n")]:
+        prog = write(tmp_path, "p.lp", text)
+        assert main(["transform", prog, "--op", "s-rp", "--iset", iset,
+                     "--atom", atom, "--fresh", "x"]) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_transform_guard_error(tmp_path, capsys):
     prog = write(tmp_path, "p.lp", "a | b | d :- b, c, not c.\n")
-    assert main(["transform", prog, "--op", "s-dl", "--iset", "4",
-                 "--atom", "a"]) == 2
-    assert "error" in capsys.readouterr().err
+    # a guard that refuses the size, then set names outside a one-rule tuple
+    for args in (["--op", "s-dl", "--iset", "4", "--atom", "a"],
+                 *(["--op", "s-ex", "--iset", iset, "--fresh", "x"] for iset in ("99", "0", "-1"))):
+        assert main(["transform", prog, *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (args, err)
 
 
 def test_regress_single_shape(capsys):
@@ -185,6 +193,16 @@ def test_discover_max_layer_below_one(capsys):
         assert main(["discover", "0", "1", "1", "--max-layer", value]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: max_layer must be >= 1\n", (out, err)
+
+
+def test_discover_one_rule_shape_takes_no_layer_options(tmp_path, capsys):
+    ck = tmp_path / "run.jsonl"
+    for argv in (["discover", "0", "0", "1", "--max-layer", "2"],
+                 ["discover", "0", "1", "0", "--checkpoint", str(ck)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert not ck.exists()
 
 
 def test_bad_job_counts(capsys):

@@ -384,6 +384,16 @@ def test_max_layer_below_one_is_rejected():
     assert ik.discover((0, 1, 1), ik.RunConfig(max_layer=1)).tr == 1
 
 
+def test_one_rule_shapes_take_no_layer_cap_or_checkpoint(tmp_path):
+    # the 2^7 enumeration has no layers to cap or resume
+    path = tmp_path / "run.jsonl"
+    for shape in [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 0)]:
+        for config in (ik.RunConfig(max_layer=2), ik.RunConfig(checkpoint_path=str(path))):
+            with pytest.raises(ValueError, match="max_layer and checkpoint_path"):
+                ik.discover(shape, config)
+    assert not path.exists()
+
+
 # sha256 prefixes of report.dumps(), (mode, shape, max_layer) -> digest
 REPORT_DIGESTS = {
     ("sound", (0, 1, 0), None): "3946828880b9e3a7",

@@ -1,5 +1,6 @@
 """Independent-set transformations: edits, guards, preservation classes."""
 
+import itertools
 import random
 
 import pytest
@@ -81,6 +82,83 @@ def test_atom_and_fresh_errors():
         ik.apply_transform(T, AD, 4, fresh="b")  # already in the tuple
     with pytest.raises(ik.FreshAtomCollisionError):
         ik.apply_transform(T, AD, 4)  # fresh name required
+
+
+def test_name_out_of_range_raises_shape_mismatch():
+    T = one_rule_tuple()
+    for kind in TransformKind:
+        for name in (0, -1, 8, 99):
+            with pytest.raises(ik.ShapeMismatchError):
+                ik.apply_transform(T, kind, name, atom="a", fresh="x")
+
+
+TAKES_OUT = {RP, DL, RD}
+PUTS_IN = {RP, AD, EX}
+
+
+def _old_route(T, kind, name, atom, fresh):
+    """The edit as a rebuild: extract the sets, edit one, reconstruct."""
+    assignment = ik.extract_isets(T)
+    bucket = assignment.get(name, 0)
+    if kind in TAKES_OUT:
+        bucket &= ~(1 << T.universe.id_of(atom))
+    if kind in PUTS_IN:
+        bucket |= 1 << T.universe.id_of(fresh)
+    if bucket:
+        assignment[name] = bucket
+    else:
+        assignment.pop(name, None)
+    return ik.reconstruct_tuple(T.universe, T.segment_sizes, assignment)
+
+
+def _random_weighted_tuple(rng):
+    """A 3-segment tuple with sets of 1 to 4 atoms; rules weighted or not."""
+    sizes = tuple(rng.randrange(3) for _ in range(3))
+    while not sum(sizes):
+        sizes = tuple(rng.randrange(3) for _ in range(3))
+    n = sum(sizes)
+    u = ik.Universe()
+    assignment = {}
+    for name in rng.sample(range(1, 1 << (3 * n)), min(4, (1 << (3 * n)) - 1)):
+        mask = 0
+        for _ in range(rng.randrange(1, 5)):
+            mask |= 1 << u.intern(f"v{len(u)}")
+        assignment[name] = mask
+    T = ik.reconstruct_tuple(u, sizes, assignment)
+    weighted = rng.random() < 0.5
+    rules = [ik.Rule(r.head, r.pbody, r.nbody,
+                     rng.choice([None, 1.0, 2.5, -3.0]) if weighted else None)
+             for r in T.rules]
+    programs = [ik.Program(rules=tuple(rules[i - k:i]), universe=u)
+                for i, k in zip(itertools.accumulate(sizes), sizes)]
+    return ik.ProgramTuple(programs=tuple(programs), segment_sizes=sizes, universe=u)
+
+
+def test_edit_matches_rebuild_and_keeps_weights():
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(300):
+        T = _random_weighted_tuple(rng)
+        assignment = ik.extract_isets(T)
+        empty = next(v for v in range(1, 1 << (3 * T.n_rules)) if v not in assignment)
+        for name in [*assignment, empty]:
+            mask = assignment.get(name, 0)
+            size = bin(mask).count("1")
+            atom = T.universe.names[(mask & -mask).bit_length() - 1] if mask else None
+            for kind in TransformKind:
+                try:
+                    ik.preservation_class(kind, size)
+                except ik.TransformGuardError:
+                    continue
+                seen.add((kind, min(size, 3)))
+                T2 = ik.apply_transform(T, kind, name, atom=atom, fresh="f0")
+                want = _old_route(T, kind, name, atom, "f0")
+                assert [(r.head, r.pbody, r.nbody) for r in T2.rules] == \
+                    [(r.head, r.pbody, r.nbody) for r in want.rules]
+                assert [r.weight for r in T2.rules] == [r.weight for r in T.rules]
+                assert T2.segment_sizes == T.segment_sizes
+    assert {kind for kind, _ in seen} == set(TransformKind)
+    assert (DL, 3) in seen
 
 
 def test_preservation_classes():
