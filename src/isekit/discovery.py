@@ -4,7 +4,8 @@ A k-m-n problem asks which conditions on the independent sets of a tuple
 T = <K, M, N> (k, m, n rules) force K∪M and K∪N to be equivalent for every
 instantiation. A condition (nis, sis) is verified on its canonical instance,
 by a search over the here-and-there states of its set names
-(`isets.CanonicalSearch`); one question, with two atoms for every name,
+(`isets.CanonicalSearch`, compiled once per run over IS'' and restricted to
+each candidate's mask); one question, with two atoms for every name,
 settles most conditions and all their singletons at once.
 
 `discover(shape, RunConfig(mode=...))` is the one entry point:
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+from .program import bits
 from .semantics import Semantics
 from .isets import CanonicalSearch, ISCondition, locals_from_name, make_condition
 
@@ -154,30 +156,35 @@ def sic2_excluded(c: ISCondition) -> bool:
     return covered != (1 << c.n_rules) - 1
 
 
-def verify_and_compute_mgse(shape, nis, sis,
-                            sem: Semantics = Semantics.LPMLN) -> Optional[ISCondition]:
-    """Verify the condition on its canonical instance; generalize the singletons.
-
-    Returns None if that instance is not SE. Otherwise keeps a name s in sis
-    only if the instance of (nis, sis - {s}) is not SE: it is the canonical
-    one with I_s grown by a fresh atom, up to a renaming of atoms, and
-    HT-model equality does not change under renaming. The condition is
-    compiled once; each question only changes the start domains.
+def _verify(search: CanonicalSearch, sis: int) -> Optional[int]:
+    """Verify the selected names, with the singletons of the mask sis, on
+    their canonical instance: None if it is not SE, else the mask of the
+    singletons kept. A singleton s is kept only if the instance without s in
+    sis is not SE: it is the canonical one with I_s grown by a fresh atom,
+    up to a renaming of atoms, which keeps HT-model equality.
 
     The first question is the two-atom one, `search.full` = (nis, {}).
     `equivalent(d)` says no witness lies within the domains d, so it holds
     on every d' within d if it holds on d. The start domains and every
     `grow(start, s)` lie within `full`: if it holds, no singleton is kept.
     """
-    cond = ISCondition(shape=tuple(shape), nis=frozenset(nis), sis=frozenset(sis))
-    search = CanonicalSearch(cond.shape, cond.nis, sem)
     if search.equivalent(search.full):
-        return ISCondition(shape=cond.shape, nis=cond.nis, sis=frozenset())
-    start = search.domains(cond.sis)
+        return 0
+    start = search.domains(sis)
     if not search.equivalent(start):
         return None
-    kept = [s for s in sorted(cond.sis) if not search.equivalent(search.grow(start, s))]
-    return ISCondition(shape=cond.shape, nis=cond.nis, sis=frozenset(kept))
+    return sum(1 << i for i in bits(sis) if not search.equivalent(search.grow(start, 1 << i)))
+
+
+def verify_and_compute_mgse(shape, nis, sis,
+                            sem: Semantics = Semantics.LPMLN) -> Optional[ISCondition]:
+    """(nis, sis) with only its kept singletons, or None if not SE (`_verify`)."""
+    if not set(sis) <= set(nis):
+        raise ValueError("sis must be a subset of nis")
+    search = CanonicalSearch(shape, sorted(set(nis)), sem)
+    kept = _verify(search, search.mask(sis))
+    return None if kept is None else ISCondition(shape=tuple(shape), nis=frozenset(search.names),
+                                                 sis=search.members(kept))
 
 
 def mnse_insert_minimal(mnse: list[ISCondition], c: ISCondition) -> list[ISCondition]:
@@ -336,8 +343,6 @@ class _Checkpoint:
                 self.layers.append(rec)
 
     def _append(self, rec: dict):
-        if not self.path:
-            return
         with open(self.path, "a") as f:
             if self.torn_at is not None:
                 f.truncate(self.torn_at)
@@ -349,19 +354,16 @@ class _Checkpoint:
             f.write(json.dumps(rec) + "\n")
 
     def record_base(self, is2, mnse, verified):
-        if self.base is None:
-            rec = {"kind": "base", "is2": list(is2),
-                   "mnse": [c.to_json() for c in mnse], "verified": verified}
-            self._append(rec)
-            self.base = rec
+        if self.path:
+            self._append({"kind": "base", "is2": list(is2),
+                          "mnse": [c.to_json() for c in mnse], "verified": verified})
 
     def record_layer(self, i, layer_mgic, layer_fail, verified):
-        rec = {"kind": "layer", "i": i,
-               "mgic": [c.to_json() for c in layer_mgic],
-               "mnse_add": [c.to_json() for c in layer_fail],
-               "verified": verified}
-        self._append(rec)
-        self.layers.append(rec)
+        if self.path:
+            self._append({"kind": "layer", "i": i,
+                          "mgic": [c.to_json() for c in layer_mgic],
+                          "mnse_add": [c.to_json() for c in layer_fail],
+                          "verified": verified})
 
 
 def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
@@ -375,6 +377,8 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
         if config.max_layer is not None or config.checkpoint_path is not None:
             raise ValueError("shapes of at most one rule have no layers to cap or resume: "
                              "drop max_layer and checkpoint_path")
+        if config.drop_i5:
+            raise ValueError("shapes of at most one rule enumerate every name: drop drop_i5")
         return _discover_plain(shape, config.mode)
 
     is_prime = base_name_universe(shape, config.drop_i5)
@@ -398,15 +402,8 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
         ckpt.record_base(is2, mnse, len(is_prime))
 
     names = sorted(is2, reverse=True)   # bit idx of a layer mask stands for names[idx]
-    index = {v: idx for idx, v in enumerate(names)}
-
-    def members(s: int) -> frozenset:
-        out = []
-        while s:
-            low = s & -s
-            out.append(names[low.bit_length() - 1])
-            s ^= low
-        return frozenset(out)
+    search = CanonicalSearch(shape, names, Semantics.LPMLN)   # compiled once per run
+    members = search.members
 
     mgic: list[ISCondition] = []
     pool_mask = 0   # singletons seen in layer-2 conditions
@@ -422,7 +419,7 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
             layer_mgic = [ISCondition.from_json(c) for c in rec["mgic"]]
             layer_fail = [ISCondition.from_json(c) for c in rec["mnse_add"]]
             verified += rec.get("verified", 0)
-            prev = {sum(1 << index[v] for v in c.nis) for c in layer_mgic}
+            prev = {search.mask(c.nis) for c in layer_mgic}
         else:
             # masks come in descending order, so both lists are sorted
             cands = _layer_candidates(names, i, total, prev)
@@ -433,19 +430,19 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
                                           sis=members(s & pool_mask)) for s in cands]
                 layer_fail, prev, layer_verified = [], set(cands), 0
             else:
-                sets = [members(s) for s in cands]
-                results = [verify_and_compute_mgse(shape, nis, nis) for nis in sets]
-                layer_mgic = [res for res in results if res is not None]
-                layer_fail = [ISCondition(shape=shape, nis=nis, sis=nis)
-                              for nis, res in zip(sets, results) if res is None]
-                prev = {s for s, res in zip(cands, results) if res is not None}
+                results = list(zip(cands, (_verify(search.select(s), s) for s in cands)))
+                layer_mgic = [ISCondition(shape=shape, nis=members(s), sis=members(kept))
+                              for s, kept in results if kept is not None]
+                layer_fail = [ISCondition(shape=shape, nis=members(s), sis=members(s))
+                              for s, kept in results if kept is None]
+                prev = {s for s, kept in results if kept is not None}
                 layer_verified = len(cands)
             verified += layer_verified
             ckpt.record_layer(i, layer_mgic, layer_fail, layer_verified)
         mgic.extend(layer_mgic)
         mnse.extend(layer_fail)   # candidates hold no earlier failure
         if i == 2:
-            pool_mask = sum(1 << index[v] for v in {v for c in layer_mgic for v in c.sis})
+            pool_mask = search.mask({v for c in layer_mgic for v in c.sis})
         if not layer_mgic and mgic:
             tr = i
             break

@@ -177,9 +177,9 @@ def canonical_rules(shape, nis, sis) -> list[Rule]:
 # name of a canonical instance ranges over the 6 states lo <= hi (its 2 atoms
 # realise them all), and a sis name, with 1 atom, over the 3 states lo == hi.
 # The states a name may still take form a 6-bit mask; the masks of all names
-# are packed into one int, 6 bits per name in ascending name order. A term is
-# a conjunction of per-name restrictions packed the same way, so applying it
-# is one AND, and it is unsatisfiable iff some 6-bit field ends up empty.
+# are packed into one int, 6 bits per name. A term is a conjunction of
+# per-name restrictions packed the same way, so applying it is one AND, and
+# it is unsatisfiable iff some 6-bit field ends up empty.
 
 _STATES = [(lo, hi) for lo in range(3) for hi in range(lo, 3)]
 
@@ -196,8 +196,19 @@ _ALL_Y = _states(lambda lo, hi: lo >= 1)
 _ALL_X = _states(lambda lo, hi: lo == 2)
 
 
+def _pick(mask: int, items: list) -> list:
+    """items[i] for each bit i of the mask, lowest first."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(items[b.bit_length() - 1])
+        mask ^= b
+    return out
+
+
 class CanonicalSearch:
-    """HT-equivalence of K∪M and K∪N in the canonical instances of one nis.
+    """HT-equivalence of K∪M and K∪N in the canonical instances of the
+    subsets of a list of names.
 
     Rules are compiled from the octal digits of the names into DNF terms
     over name states, with H, B and N a rule's head, positive-body and
@@ -213,88 +224,119 @@ class CanonicalSearch:
     rule of the other that the first does not contain. `equivalent` looks for
     such a pair by DFS over the terms; its cost grows with the number of
     rules, not with 2^atoms.
+
+    The terms are compiled once, over all the names: names[i] owns the field
+    at bit 6i, and bit i of a mask stands for names[i]. `select(mask)` (at
+    first every name) restricts the questions to the instance of the mask's
+    names. Its domains are 0 outside its fields and an AND keeps them 0, so a
+    term on all names of a rule serves every selection, while a term that
+    needs one name (two for asp's YH and not BX) to take some state is
+    picked only for selected names: the others are empty. Rules are told
+    apart, and terms checked for a name left with no state, on the selection.
     """
 
-    def __init__(self, shape, nis, sem: Semantics):
-        # a set of names is kept as the sum of its fields' lowest bits, so
-        # the rules over the names are those of one "atom" per field bit
-        self.field = {v: 1 << (6 * i) for i, v in enumerate(sorted(nis))}
-        self.low = sum(self.field.values())
-        self.full = _ANY * self.low
-        rules = _rule_masks(sum(shape), self.field)
-        k, m = shape[0], shape[1]
-        km = list(dict.fromkeys(rules[:k + m]))
-        kn = list(dict.fromkeys(rules[:k] + rules[k + m:]))
+    def __init__(self, shape, names, sem: Semantics):
+        n = sum(shape)
+        if not all(1 <= v < 1 << (3 * n) for v in names):
+            raise ValueError(f"set names out of range for shape {tuple(shape)}")
+        self.names = list(names)
+        self.index = {v: i for i, v in enumerate(self.names)}
         self.sem = sem
-        self.holds: dict[tuple, list[int]] = {}   # filled on first use
+        k, m = shape[0], shape[1]
+        self.programs = (range(k + m), [*range(k), *range(k + m, n)])   # rule indices
+        self.rules = _rule_masks(n, {v: 1 << i for v, i in self.index.items()})
+        self.fields = [1 << 6 * i for i in range(len(self.names))]
+        full = _ANY * sum(self.fields)
+
+        def _all(names: int, states: int) -> int:
+            """The term: every one of the names takes one of the states."""
+            return full ^ sum(_pick(names, self.fields)) * (_ANY ^ states)
+
+        # the one-name terms by name index: that name takes one of the states
+        self.some = {s: [full ^ f * (_ANY ^ s) for f in self.fields]
+                     for s in (_SOME_Y, _SOME_X, _ANY ^ _ALL_Y, _ANY ^ _ALL_X)}
+        # per rule, the violation terms (asp: two on all its names; lpmln:
+        # one per name, picked for its H names) and lpmln's last holds term
+        self.violated, self.both = [], []
+        for H, B, N in self.rules:
+            base = _all(N, _ANY ^ _SOME_Y) & _all(H, _ANY ^ _SOME_X)
+            if sem is Semantics.ASP:
+                self.violated.append([base & _all(H, _ANY ^ _SOME_Y) & _all(B, _ALL_Y),
+                                      base & _all(B, _ALL_X)])
+            else:
+                base &= _all(B, _ALL_X)
+                self.violated.append([base & t for t in self.some[_SOME_Y]])
+                self.both.append(_all(H | N, _ANY ^ _SOME_Y) & _all(B, _ALL_Y))
+        self.select((1 << len(self.names)) - 1)
+
+    def select(self, mask: int) -> "CanonicalSearch":
+        """Ask about the canonical instance of the mask's names from now on."""
+        self.low = sum(_pick(mask, self.fields))
+        self.full = _ANY * self.low
+        self.cut = [(h & mask, b & mask, n & mask) for h, b, n in self.rules]
+        self.holds = [None] * len(self.cut)   # filled on first use
+        # per program, one rule of each form the selection gives it
+        km, kn = ({self.cut[r]: r for r in rules} for rules in self.programs)
         # per direction: (violation terms of the rules only the other side
-        # has, the rules this side must satisfy)
+        # has, the rules this side must satisfy); `equivalent` drops dead terms
         self.directions = [
-            ([t for r in other if r not in side for t in self._violated(r)], side)
+            ([t for rule, r in other.items() if rule not in side for t in self._violated(r)],
+             list(side.values()))
             for side, other in ((km, kn), (kn, km))
         ]
+        return self
 
-    def _all(self, names: int, states: int) -> int:
-        """The term: every one of the names takes one of the states."""
-        return self.full ^ names * (_ANY ^ states)
+    def mask(self, names) -> int:
+        """Bit i for each names[i] among the names."""
+        return sum(1 << self.index[v] for v in names)
 
-    def _some(self, names: int, states: int) -> list[int]:
-        """One term per name: that name takes one of the states."""
-        out = []
-        while names:
-            f = names & -names
-            out.append(self._all(f, states))
-            names ^= f
-        return out
+    def members(self, mask: int) -> frozenset:
+        return frozenset(_pick(mask, self.names))
 
-    def _holds(self, rule) -> list[int]:
-        """DNF terms of the rule holding, compiled on first use."""
-        terms = self.holds.get(rule)
+    def _holds(self, r: int) -> list[int]:
+        """DNF terms of rule r holding, picked on first use."""
+        terms = self.holds[r]
         if terms is not None:
             return terms
-        H, B, N = rule
-        terms = self._some(N, _SOME_Y) + self._some(H, _SOME_X)
+        H, B, N = self.cut[r]
+        some = self.some   # one term per name: it takes one of the states
+        terms = _pick(N, some[_SOME_Y]) + _pick(H, some[_SOME_X])
         if self.sem is Semantics.ASP:
-            terms += self._some(B, _ANY ^ _ALL_Y)
-            terms += [h & b for h in self._some(H, _SOME_Y)
-                      for b in self._some(B, _ANY ^ _ALL_X)]   # never empty
+            terms += _pick(B, some[_ANY ^ _ALL_Y])
+            terms += [h & b for h in _pick(H, some[_SOME_Y])
+                      for b in _pick(B, some[_ANY ^ _ALL_X])]   # never empty
         else:
-            terms += self._some(B, _ANY ^ _ALL_X)
-            both = self._all(H | N, _ANY ^ _SOME_Y) & self._all(B, _ALL_Y)
-            terms += [both] if self._alive(both) else []
-        self.holds[rule] = terms
+            terms += _pick(B, some[_ANY ^ _ALL_X])
+            terms += [self.both[r]] if self._alive(self.both[r]) else []
+        self.holds[r] = terms
         return terms
 
-    def _violated(self, rule) -> list[int]:
-        """DNF terms of the rule being violated."""
-        H, B, N = rule
-        base = self._all(N, _ANY ^ _SOME_Y) & self._all(H, _ANY ^ _SOME_X)
+    def _violated(self, r: int) -> list[int]:
+        """DNF terms of rule r being violated."""
         if self.sem is Semantics.ASP:
-            terms = [base & self._all(H, _ANY ^ _SOME_Y) & self._all(B, _ALL_Y),
-                     base & self._all(B, _ALL_X)]
-        else:
-            base &= self._all(B, _ALL_X)
-            terms = [base & h for h in self._some(H, _SOME_Y)]
-        return [t for t in terms if self._alive(t)]
+            return self.violated[r]
+        return _pick(self.cut[r][0], self.violated[r])
 
     def _alive(self, d: int) -> bool:
-        """Does every name keep at least one state?"""
+        """Does every selected name keep at least one state?"""
         d |= d >> 1
         d |= d >> 2
         d |= d >> 2
         return d & self.low == self.low
 
-    def domains(self, sis) -> int:
-        """Start domains: one atom for each sis name, two for every other."""
-        return self._all(sum(self.field[v] for v in sis), _ONE_ATOM)
+    def domains(self, sis: int) -> int:
+        """Start domains: one atom for each name of the mask sis, two for
+        every other selected name."""
+        return self.full ^ sum(_pick(sis, self.fields)) * (_ANY ^ _ONE_ATOM)
 
     def grow(self, domains: int, name: int) -> int:
-        """Give the one-atom name only the states a second atom adds (lo < hi).
+        """Give the one-atom name (a one-bit mask) only the states a second
+        atom adds (lo < hi).
 
         Every other state is one of the one-atom instance, so when that is SE
         the search on these domains answers for the name with two atoms.
         """
-        return domains ^ self.field[name] * _ANY
+        return domains ^ sum(_pick(name, self.fields)) * _ANY
 
     def equivalent(self, domains: int) -> bool:
         """Does no HT pair within the domains tell the two programs apart?"""
@@ -305,7 +347,7 @@ class CanonicalSearch:
                     return False
         return True
 
-    def _satisfiable(self, d: int, rules: list[tuple], i: int) -> bool:
+    def _satisfiable(self, d: int, rules: list[int], i: int) -> bool:
         """Can every rule from rules[i] on hold within the domains d?"""
         if i == len(rules):
             return True

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import isekit as ik
-from isekit.discovery import CheckpointError, _head_cover, _layer_candidates
+from isekit.discovery import CheckpointError, _head_cover, _layer_candidates, _verify
 from isekit.isets import CanonicalSearch
 
 
@@ -54,6 +54,14 @@ def test_sic2_excluded():
 
 def test_verify_fact_against_empty_fails():
     assert ik.verify_and_compute_mgse((0, 1, 0), {4}, {4}) is None
+
+
+def test_verify_rejects_malformed_conditions():
+    with pytest.raises(ValueError, match="subset"):
+        ik.verify_and_compute_mgse((0, 1, 0), {4}, {2})
+    for nis in ({8}, {0, 4}):   # one rule names 1..7
+        with pytest.raises(ValueError, match="out of range"):
+            ik.verify_and_compute_mgse((0, 1, 0), nis, nis)
 
 
 def test_verify_tautology_generalizes_singleton():
@@ -238,6 +246,57 @@ def test_verify_matches_tuple_route_on_random_conditions():
         assert min(seen[k] for k in ("not SE", "two atoms each", "kept singletons")) >= 5, (sem, seen)
 
 
+# per shape, the name with a head-only digit in every rule and a name that
+# this alone keeps as a singleton, in both semantics
+CORES = {(0, 2, 2): (0o4444, 0o424), (1, 2, 1): (0o4444, 0o4002),
+         (2, 1, 1): (0o4444, 0o2402), (2, 1, 0): (0o444, 0o420)}
+
+
+def test_selections_of_one_table_match_tuple_route():
+    """A search compiled over a pool of names, asked about a sub-mask,
+    answers as the tuple route does on the sub-mask's names alone."""
+    rng = random.Random(61)
+    outcomes = {sem: Counter() for sem in ik.Semantics}
+    coinciding = products = alike = 0
+    for shape, core in CORES.items():
+        for _ in range(10):
+            pool = list({*core, *rng.sample(range(1, 1 << (3 * sum(shape))), 7)})
+            rng.shuffle(pool)
+            for sem in ik.Semantics:
+                search = CanonicalSearch(shape, pool, sem)
+                for _ in range(8):
+                    if rng.random() < 0.4:   # the core and up to two more names
+                        mask = search.mask(core) | search.mask(rng.sample(pool, rng.randint(0, 2)))
+                    else:
+                        mask = search.mask(rng.sample(pool, rng.randint(1, 4)))
+                    sis = mask & rng.getrandbits(len(pool))
+                    kept = _verify(search.select(mask), sis)
+                    nis = search.members(mask)
+                    got = None if kept is None else ik.make_condition(shape, nis, search.members(kept))
+                    expect = _oracle_verify(shape, nis, search.members(sis), sem)
+                    assert got == expect, (shape, pool, nis, search.members(sis), sem)
+                    if kept is None:
+                        outcomes[sem]["not SE"] += 1
+                    elif search.equivalent(search.full):
+                        outcomes[sem]["two atoms each"] += 1
+                    elif kept:
+                        outcomes[sem]["kept singletons"] += 1
+                    # rules told apart over the pool, alike on the selection
+                    coinciding += any(search.cut[a] == search.cut[b] and search.rules[a] != search.rules[b]
+                                      for a in range(sum(shape)) for b in range(a))
+                    # programs alike on the selection leave nothing to violate
+                    km, kn = ({search.cut[r] for r in rules} for rules in search.programs)
+                    if km == kn:
+                        alike += 1
+                        assert search.directions == [([], d[1]) for d in search.directions]
+                    products += sem is ik.Semantics.ASP and any(
+                        terms is not None and search.cut[r][0] and search.cut[r][1]
+                        for r, terms in enumerate(search.holds))
+    for sem, seen in outcomes.items():
+        assert min(seen[k] for k in ("not SE", "two atoms each", "kept singletons")) >= 5, (sem, seen)
+    assert min(coinciding, products) >= 20 and alike >= 5, (coinciding, products, alike)
+
+
 def test_checkpoint_drops_torn_tail(tmp_path, sound_reports):
     sound, _ = sound_reports[(0, 1, 1)]
     path = tmp_path / "ck.jsonl"
@@ -384,6 +443,30 @@ def test_max_layer_below_one_is_rejected():
     assert ik.discover((0, 1, 1), ik.RunConfig(max_layer=1)).tr == 1
 
 
+def test_discovery_without_a_checkpoint_serializes_nothing(monkeypatch):
+    calls = Counter()
+    to_json = ik.ISCondition.to_json
+
+    def counted(self):
+        calls["to_json"] += 1
+        return to_json(self)
+
+    monkeypatch.setattr(ik.ISCondition, "to_json", counted)
+    report = ik.discover((0, 2, 1))
+    assert calls["to_json"] == 0
+    report.dumps()
+    assert calls["to_json"] == len(report.mgic) + len(report.mnse)
+
+
+def test_one_rule_shapes_refuse_drop_i5():
+    # the 2^7 enumeration covers every name, digit 5 or not
+    for shape in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="drop_i5"):
+            ik.discover(shape, ik.RunConfig(drop_i5=True))
+    # False is the one-rule default, which the CLI's --keep-i5 passes
+    assert ik.discover((0, 1, 0), ik.RunConfig(drop_i5=False)).dumps() == ik.discover((0, 1, 0)).dumps()
+
+
 def test_one_rule_shapes_take_no_layer_cap_or_checkpoint(tmp_path):
     # the 2^7 enumeration has no layers to cap or resume
     path = tmp_path / "run.jsonl"
@@ -414,6 +497,14 @@ REPORT_DIGESTS = {
 
 def _digest(report):
     return hashlib.sha256(report.dumps().encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("shape, digest", [((0, 2, 2), "58aa7f83bada0938"),
+                                           ((2, 1, 0), "ed5487d3cd755211")],
+                         ids=["0-2-2", "2-1-0"])
+def test_four_rule_and_two_context_reports_are_pinned(shape, digest):
+    """The first four layers: 4-rule minimal covers, and K of two rules."""
+    assert _digest(ik.discover(shape, ik.RunConfig(max_layer=4))) == digest
 
 
 def test_report_bytes_are_pinned(sound_reports, large_sound_reports, conjectural_reports):
