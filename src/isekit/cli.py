@@ -14,7 +14,7 @@ import os
 import sys
 import time
 
-from .program import Universe, parse_program, render_program, ParseError
+from .program import Universe, parse_program, render_program
 from .semantics import Semantics, equivalent, CapExceededError
 from .discovery import KNOWN_COUNTS, CheckpointError, RunConfig, SearchReport, discover
 from .simplify import simplify
@@ -35,7 +35,7 @@ def cmd_check(args) -> int:
         with open(args.program_q) as f:
             q = parse_program(f.read(), uni)
         verdict, witness = equivalent(p, q, Semantics(args.semantics))
-    except (OSError, ParseError, CapExceededError) as e:
+    except (OSError, ValueError, CapExceededError) as e:   # ValueError: ParseError, bad UTF-8
         return _error(e)
     if verdict:
         print("equivalent")
@@ -109,7 +109,7 @@ def cmd_transform(args) -> int:
         T = concat_tuple([p])
         T2 = apply_transform(T, TransformKind(args.op), args.iset,
                              atom=args.atom, fresh=args.fresh)
-    except (OSError, ParseError, ValueError) as e:
+    except (OSError, ValueError) as e:
         return _error(e)
     sys.stdout.write(render_program(T2.programs[0]))
     return 0

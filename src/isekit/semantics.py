@@ -6,6 +6,10 @@ satisfied by the candidate interpretation. Equivalence checking compares
 HT-model sets over the joint atom alphabet; the kernel encodes, for each
 "there"-world Y, the set of admissible "here"-worlds X as a big integer over
 the 2^u X-space so that whole-program comparison is a handful of int ops.
+
+The kernel scans only the Ys where a rule that one program lacks is kept (at
+any other Y both keep just their shared rules), in ascending order, so its
+witness is the first distinguishing (Y, X) pair; `ht_models` is its oracle.
 """
 from __future__ import annotations
 
@@ -141,10 +145,17 @@ def ht_models(p: Program, universe_mask: int, sem: Semantics) -> set[HTInterpret
     _check_cap(popcount(universe_mask), DEFAULT_POW3_CAP, "3^n")
     out = set()
     for Y in _submasks(universe_mask):
+        # ht_satisfies's there-part once per rule; a kept rule then needs X & h or pb & ~X
+        there = [satisfies(Y, r) for r in p.rules]
+        if sem is Semantics.ASP and not all(there):
+            continue            # a hard rule fails at Y
+        kept = [(r.head, r.pbody) for r, t in zip(p.rules, there) if t and not r.nbody & Y]
         for X in _submasks(Y):
-            i = HTInterpretation(X, Y)
-            if all(ht_satisfies(i, r, sem) for r in p.rules):
-                out.add(i)
+            for h, pb in kept:
+                if not (X & h or pb & ~X):
+                    break
+            else:
+                out.add(HTInterpretation(X, Y))
     return out
 
 
@@ -160,7 +171,8 @@ def _compile(p: Program, q: Program, atoms: list[int]):
 
     Each rule becomes (head, pbody, nbody, here), where bit X of `here` is set
     iff X satisfies head <- pbody classically; a rule of both is compiled once.
-    Both results map (head, pbody, nbody) to that 4-tuple.
+    Both results map (head, pbody, nbody) to that 4-tuple; the full X-space
+    and the column masks are returned beside them.
     """
     u = len(atoms)
     full = (1 << (1 << u)) - 1
@@ -191,13 +203,12 @@ def _compile(p: Program, q: Program, atoms: list[int]):
             out[t] = compiled[t]
         return out
 
-    return rules(p), rules(q), full
+    return rules(p), rules(q), full, column
 
 
-def _allowed_here(rules, Y: int, hard: bool, full: int) -> int:
-    """Admissible here-worlds X ⊆ Y of a program at there-world Y; bits of
-    X ⊄ Y are left unspecified."""
-    allowed = full
+def _allowed_here(rules, Y: int, hard: bool, allowed: int) -> int:
+    """allowed narrowed to the admissible here-worlds X ⊆ Y of rules at
+    there-world Y; bits of X ⊄ Y are left unspecified."""
     for h, pb, nb, here in rules:
         if nb & Y or pb & ~Y:
             continue            # dropped by the GL-reduct, or vacuous for X ⊆ Y
@@ -225,18 +236,37 @@ def equivalent(p: Program, q: Program,
 
     Returns (verdict, witness); the witness is the lexicographically first
     distinguishing (Y, X) pair, mapped back to the shared universe.
+
+    `_allowed_here` skips a rule at Y when nbody ∩ Y ≠ ∅ or pbody ⊄ Y, so the
+    programs can differ only at a Y in the box pbody ⊆ Y, nbody ∩ Y = ∅ of a
+    rule that only one of them has. Those Ys are scanned in ascending order,
+    which keeps the witness of a scan of all 2^u Ys; the shared rules are
+    evaluated once per Y.
     """
     atoms = list(bits(p.atoms() | q.atoms()))
     u = len(atoms)
     _check_cap(u, DEFAULT_POW3_CAP, "HT")
-    rp, rq, full = _compile(p, q, atoms)
+    rp, rq, full, column = _compile(p, q, atoms)
     if rp.keys() == rq.keys():
         return True, None
-    rp, rq = list(rp.values()), list(rq.values())
+    common = [rp[t] for t in rp if t in rq]
+    only_p = [rp[t] for t in rp if t not in rq]
+    only_q = [rq[t] for t in rq if t not in rp]
+    ys = 0
+    for _, pb, nb, _ in only_p + only_q:
+        box = full
+        for a in bits(pb):
+            box &= column[a]
+        for a in bits(nb):
+            box &= ~column[a]
+        ys |= box
     hard = sem is Semantics.ASP
-    for Y in range(1 << u):
-        ap = _allowed_here(rp, Y, hard, full)
-        aq = _allowed_here(rq, Y, hard, full)
+    for Y in bits(ys):
+        ac = _allowed_here(common, Y, hard, full)
+        if not ac:
+            continue
+        ap = _allowed_here(only_p, Y, hard, ac)
+        aq = _allowed_here(only_q, Y, hard, ac)
         if ap == aq:
             continue
         diff = (ap ^ aq) & _subset_space(Y)

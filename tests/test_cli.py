@@ -52,6 +52,18 @@ def test_check_errors(tmp_path, capsys):
     assert err.startswith("error: ") and "18 atoms" in err and err.count("\n") == 1
 
 
+def test_check_file_not_utf8(tmp_path, capsys):
+    """An undecodable file is an error (exit 2), not the "inequivalent" exit 1."""
+    bad = tmp_path / "bad.lp"
+    bad.write_bytes(b"a :- b.\n\xff\xfe.\n")
+    b = write(tmp_path, "b.lp", "a :- b.\n")
+    for argv in (["check", str(bad), b], ["check", b, str(bad)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_discover_json_to_stdout(capsys):
     assert main(["discover", "0", "1", "0"]) == 0
     out, err = capsys.readouterr()

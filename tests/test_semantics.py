@@ -10,7 +10,8 @@ import pytest
 import isekit as ik
 from isekit import Semantics
 from isekit.program import bits
-from isekit.semantics import HTInterpretation, _submasks
+from isekit.semantics import (HTInterpretation, _allowed_here, _compile, _submasks,
+                              _subset_space)
 
 ASP = Semantics.ASP
 LPMLN = Semantics.LPMLN
@@ -225,6 +226,26 @@ def test_total_ht_model_vs_classical_model():
             assert ik.ht_satisfies(total, r, LPMLN)
 
 
+@pytest.mark.parametrize("sem", [ASP, LPMLN])
+def test_ht_models_match_definition(sem):
+    """ht_models is {(X, Y) : X ⊆ Y ⊆ U, every rule ht_satisfied}, on random
+    programs with empty heads, weights and overlapping masks."""
+    rng = random.Random(47)
+    for _ in range(400):
+        n = rng.randrange(1, 6)
+        u = ik.Universe(f"v{i}" for i in range(n))
+        rules = [ik.Rule(rng.randrange(1 << n) if rng.random() < 0.8 else 0,
+                         rng.randrange(1 << n), rng.randrange(1 << n),
+                         rng.choice((None, 1.0, -2.5)))
+                 for _ in range(rng.randrange(5))]
+        p = ik.Program(rules=tuple(rules), universe=u)
+        U = (1 << n) - 1
+        literal = {HTInterpretation(X, Y) for Y in range(U + 1) for X in range(Y + 1)
+                   if not X & ~Y and all(ik.ht_satisfies(HTInterpretation(X, Y), r, sem)
+                                         for r in rules)}
+        assert ik.ht_models(p, U, sem) == literal
+
+
 def test_asp_ht_models_subset_of_lpmln():
     rng = random.Random(37)
     for _ in range(40):
@@ -277,6 +298,60 @@ def test_equivalent_agrees_with_ht_model_sets(sem):
             verdicts.add(verdict)
         assert verdicts == {True, False}, n
         assert widths.count(n) >= 15, (n, widths)   # the kernel scans all n atoms
+
+
+def _full_scan(p, q, sem):
+    """The kernel's former loop over all 2^u there-worlds, kept as its reference."""
+    atoms = list(bits(p.atoms() | q.atoms()))
+    rp, rq, full, _ = _compile(p, q, atoms)
+    rp, rq = list(rp.values()), list(rq.values())
+    hard = sem is ASP
+    for Y in range(1 << len(atoms)):
+        ap = _allowed_here(rp, Y, hard, full)
+        aq = _allowed_here(rq, Y, hard, full)
+        diff = (ap ^ aq) & _subset_space(Y)
+        if diff:
+            X = (diff & -diff).bit_length() - 1
+            expand = lambda m: sum(1 << atoms[i] for i in bits(m))
+            return False, HTInterpretation(expand(X), expand(Y))
+    return True, None
+
+
+@pytest.mark.parametrize("sem", [ASP, LPMLN])
+def test_equivalent_matches_full_scan(sem):
+    """Scanning only the there-worlds where a rule of one side is kept gives
+    the verdict and the witness of the scan over every there-world."""
+    rng = random.Random(43)
+    for n in range(3, 13):
+        u = ik.Universe(f"v{i}" for i in range(n))
+        verdicts, widths = set(), []
+        for case in ("own", "shared", "empty-body", "empty-box", "duplicates"):
+            for _ in range(6):
+                shared = [_sparse_rule(rng, n) for _ in range(rng.randrange(2 + n // 3))]
+                if case == "shared":       # constraints, which a Y violates hard under ASP
+                    shared += [ik.Rule(0, r.pbody, r.nbody) for r in shared]
+                own_p = [_sparse_rule(rng, n) for _ in range(rng.randrange(1, 3))]
+                own_q = [_sparse_rule(rng, n) for _ in range(rng.randrange(case == "own", 3))]
+                if case == "empty-body":   # its box is every there-world
+                    own_p[0] = ik.Rule(own_p[0].head, 0, 0)
+                elif case == "empty-box":  # an atom in both bodies: kept at no Y
+                    both = 1 << rng.randrange(n)
+                    own_q.append(ik.Rule(1 << rng.randrange(n), both | own_p[0].pbody, both))
+                elif case == "duplicates":
+                    own_p += own_p + shared[:1]
+                p_rules = shared + own_p
+                q_rules = own_q + shared[::-1]
+                if case == "duplicates":
+                    q_rules += shared
+                    rng.shuffle(q_rules)
+                p = ik.Program(rules=tuple(p_rules), universe=u)
+                q = ik.Program(rules=tuple(q_rules), universe=u)
+                for a, b in ((p, q), (q, p)):
+                    got, want = ik.equivalent(a, b, sem), _full_scan(a, b, sem)
+                    assert got == want, (n, case)
+                    verdicts.add(got[0])
+                widths.append((p.atoms() | q.atoms()).bit_count())
+        assert verdicts == {True, False} and max(widths) == n, (n, widths)
 
 
 def test_no_module_keeps_a_cache():
