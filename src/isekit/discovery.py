@@ -67,6 +67,8 @@ class SearchReport:
     mode: str = "sound"
 
     def to_json(self) -> dict:
+        """The report as a JSON tree, for `from_json` round trips; `dumps`
+        writes the same JSON as text, and this is its test oracle."""
         return {
             "shape": list(self.shape),
             "mgic": [c.to_json() for c in self.mgic],
@@ -78,7 +80,14 @@ class SearchReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+        """`to_json` as compact JSON with sorted keys, and a newline. The
+        conditions are written as text, so no dict or list is built for each."""
+        def scalar(v) -> str:
+            return json.dumps(v, sort_keys=True, separators=(",", ":"))
+        return (f'{{"max_nse":{scalar(self.max_nse)},"mgic":{_conditions_text(self.mgic)},'
+                f'"mnse":{_conditions_text(self.mnse)},"mode":{scalar(self.mode)},'
+                f'"shape":{scalar(list(self.shape))},"stats":{scalar(self.stats)},'
+                f'"tr":{scalar(self.tr)}}}\n')
 
     @classmethod
     def from_json(cls, obj: dict) -> "SearchReport":
@@ -118,6 +127,20 @@ class SearchReport:
             f"[{self.mode}]",
         ]
         return " ".join(parts)
+
+
+def _conditions_text(conds: list[ISCondition]) -> str:
+    """The compact JSON array of the conditions' `to_json`, with keys sorted,
+    written as text. The str of a list of ints is its JSON with spaces."""
+    shapes: dict = {}
+    texts = []
+    for c in conds:
+        shape = shapes.get(c.shape)
+        if shape is None:
+            shape = shapes[c.shape] = str(list(c.shape)).replace(" ", "")
+        texts.append(f'{{"nis":{str(sorted(c.nis)).replace(" ", "")},"shape":{shape},'
+                     f'"sis":{str(sorted(c.sis)).replace(" ", "")}}}')
+    return f'[{",".join(texts)}]'
 
 
 def is_semi_valid(r) -> bool:
@@ -240,7 +263,28 @@ def _layer_candidates(names: list[int], i: int, n_rules: int, prev: set[int]) ->
     of its lowest uncovered rule while every name alone covers a rule; a
     coverer tried for a rule is not tried again below it. Every other S is
     built once, from S minus its largest spare name, and kept iff S - {u} is
-    in prev for every spare u.
+    in prev for every spare u. The rules that a parent t covers once are
+    listed once per t: in t | bit, those that bit covers are covered twice,
+    and the others keep their one name.
+
+    Skipping every superset of a failure is exact, by this lemma: if
+    (nis, sis) is not SE and the name x has no digit 3, 6 or 7, then
+    nis ∪ {x} is not SE, whichever sets are singletons, in both semantics.
+    Proof: take a witness (X, Y) of the canonical instance; it satisfies
+    one side and violates a rule r that only the other side has. Give
+    every atom of x the value 2 (in X) if r has x in its positive body, and
+    0 (outside Y) otherwise. Value 0 keeps every satisfied rule satisfied:
+    outside Y, x is invisible in a head or a negative body, and in a
+    positive body it falsifies the body (in X under LP^MLN, in Y under
+    ASP). Value 2 does too: x in a head satisfies the head in X, x in a
+    negative body blocks the rule in Y, and in a positive body it changes
+    nothing. r stays violated: its digit for x is 0, 1, 2, 4 or 5, and
+    value 0 meets 0, 1, 4 and 5 while value 2 meets 2. Rules that were
+    distinct stay distinct, so r is still only on the other side, and
+    extra atoms of the old names take the value of their name's atom.
+    Digits 3, 6 and 7 put x in a rule's positive body together with its
+    head or negative body, where neither value keeps r violated; that is
+    why shapes of at most one rule, which keep them, use `_discover_plain`.
     """
     coverers = [sum(1 << idx for idx, v in enumerate(names) if _head_cover(v, n_rules) >> k & 1)
                 for k in range(n_rules)]
@@ -273,12 +317,25 @@ def _layer_candidates(names: list[int], i: int, n_rules: int, prev: set[int]) ->
     if i <= n_rules:
         grow_covers(0, 0, 0)
     for t in prev:   # t covers, and so does every t | bit
-        for b in range((t ^ lone(t)).bit_length(), len(names)):
+        # the rules that t covers once, as (coverers, the one name of t)
+        once = [(c, c & t) for c in coverers if (c & t).bit_count() == 1]
+        lone_t = 0
+        for _, one in once:
+            lone_t |= one
+        for b in range((t ^ lone_t).bit_length(), len(names)):
             bit = 1 << b
+            if t & bit:
+                continue
+            # in s a rule that bit covers is covered twice, and bit alone
+            # covers no rule, since t covers them all
+            alone = 0
+            for c, one in once:
+                if not c & bit:
+                    alone |= one
             s = t | bit
-            others = s ^ lone(s) ^ bit   # the spare names of s other than b
-            if s == t or others > bit:
-                continue   # b is in t, or not the largest spare name of s
+            others = t ^ alone   # the spare names of s other than b
+            if others > bit:
+                continue   # b is not the largest spare name of s
             while others:
                 low = others & -others
                 if s ^ low not in prev:
@@ -342,7 +399,8 @@ class _Checkpoint:
             elif rec["kind"] == "layer":
                 self.layers.append(rec)
 
-    def _append(self, rec: dict):
+    def _append(self, line: str):
+        """Append one record, the text of a JSON object."""
         with open(self.path, "a") as f:
             if self.torn_at is not None:
                 f.truncate(self.torn_at)
@@ -351,19 +409,17 @@ class _Checkpoint:
                 f.write(json.dumps({"kind": "header", "shape": self.shape,
                                     "config": self.hash}) + "\n")
                 self.has_header = True
-            f.write(json.dumps(rec) + "\n")
+            f.write(line + "\n")
 
     def record_base(self, is2, mnse, verified):
         if self.path:
-            self._append({"kind": "base", "is2": list(is2),
-                          "mnse": [c.to_json() for c in mnse], "verified": verified})
+            self._append(f'{{"kind":"base","is2":{json.dumps(list(is2))},'
+                         f'"mnse":{_conditions_text(mnse)},"verified":{verified}}}')
 
     def record_layer(self, i, layer_mgic, layer_fail, verified):
         if self.path:
-            self._append({"kind": "layer", "i": i,
-                          "mgic": [c.to_json() for c in layer_mgic],
-                          "mnse_add": [c.to_json() for c in layer_fail],
-                          "verified": verified})
+            self._append(f'{{"kind":"layer","i":{i},"mgic":{_conditions_text(layer_mgic)},'
+                         f'"mnse_add":{_conditions_text(layer_fail)},"verified":{verified}}}')
 
 
 def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:

@@ -454,8 +454,74 @@ def test_discovery_without_a_checkpoint_serializes_nothing(monkeypatch):
     monkeypatch.setattr(ik.ISCondition, "to_json", counted)
     report = ik.discover((0, 2, 1))
     assert calls["to_json"] == 0
+    # the report is written as text: no condition goes through to_json
     report.dumps()
-    assert calls["to_json"] == len(report.mgic) + len(report.mnse)
+    assert calls["to_json"] == 0
+
+
+def test_dumps_equals_the_json_of_to_json(sound_reports, large_sound_reports, conjectural_reports):
+    reports = [r for r, _ in {**sound_reports, **large_sound_reports}.values()]
+    reports += list(conjectural_reports.values())
+    partial = ik.discover((1, 1, 1), ik.RunConfig(max_layer=3))
+    assert partial.stats["partial"]
+    empty = ik.discover((0, 2, 0))
+    assert not empty.mgic
+    reports += [partial, empty]
+    one_rule, _ = sound_reports[(0, 1, 0)]
+    assert any(not c.sis for c in one_rule.mgic)
+    assert len(reports) == 14
+    for report in reports:
+        want = json.dumps(report.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+        assert report.dumps() == want, (report.shape, report.mode)
+
+
+def test_checkpoint_in_the_older_spacing_resumes(tmp_path, sound_reports):
+    """A log whose lines were written by json.dumps(rec), with spaces after
+    every separator, resumes to the same report bytes."""
+    sound, _ = sound_reports[(0, 1, 1)]
+    path = tmp_path / "ck.jsonl"
+    ik.discover((0, 1, 1), ik.RunConfig(checkpoint_path=str(path)))
+    lines = path.read_text().splitlines()
+    assert all(json.loads(line)["kind"] for line in lines)
+    for keep in (2, 4, len(lines)):   # after the base, after layer 2, complete
+        path.write_text("".join(json.dumps(json.loads(line)) + "\n" for line in lines[:keep]))
+        again = ik.discover((0, 1, 1), ik.RunConfig(checkpoint_path=str(path)))
+        assert again.dumps() == sound.dumps(), keep
+
+
+def _extensions_stay_non_se(report, sem, rng, names, per_entry):
+    """(failures checked, SE supersets) over `per_entry` seeded names from
+    `names` added, one at a time, to each MNSE entry that is not SE under
+    sem; every set of the superset is a singleton."""
+    checked = se = 0
+    for c in report.mnse:
+        if ik.verify_and_compute_mgse(report.shape, c.nis, c.nis, sem) is not None:
+            continue   # an LP^MLN failure may be SE under ASP
+        checked += 1
+        outside = [v for v in names if v not in c.nis]
+        for x in rng.sample(outside, min(per_entry, len(outside))):
+            nis = c.nis | {x}
+            se += ik.verify_and_compute_mgse(report.shape, nis, nis, sem) is not None
+    return checked, se
+
+
+@pytest.mark.parametrize("sem", [ik.Semantics.LPMLN, ik.Semantics.ASP], ids=["lpmln", "asp"])
+def test_failures_plus_one_name_stay_non_se(sem, sound_reports, large_sound_reports):
+    """The pruning lemma of `_layer_candidates`: a name of IS' (no digit 3,
+    6 or 7) added to a non-SE condition keeps it non-SE. With digits 3, 6
+    and 7 allowed, the negative control finds SE supersets."""
+    reports = {**sound_reports, **large_sound_reports}
+    rng = random.Random(f"lemma-{sem.name}")
+    for shape, (report, _) in reports.items():
+        is_prime = ik.base_name_universe(shape, drop_i5=False)
+        checked, se = _extensions_stay_non_se(report, sem, rng, is_prime, 3)
+        assert checked and not se, (shape, checked, se)
+    for shape in [(0, 1, 1), (1, 1, 1)]:
+        n = sum(shape)
+        blocked = [v for v in range(1, 1 << (3 * n))
+                   if any(d in (3, 6, 7) for d in ik.locals_from_name(v, n))]
+        _, se = _extensions_stay_non_se(reports[shape][0], sem, rng, blocked, 3)
+        assert se, shape
 
 
 def test_one_rule_shapes_refuse_drop_i5():
