@@ -16,7 +16,7 @@ from .transforms import (TransformKind, PreservationClass, apply_transform,
                          UnknownAtomError, FreshAtomCollisionError)
 from .discovery import (SearchReport, RunConfig, is_semi_valid,
                         base_name_universe, sic2_excluded,
-                        verify_and_compute_mgse, mnse_insert_minimal,
+                        verify_and_compute_mgse,
                         discover, KNOWN_COUNTS)
 from .simplify import (Clique, SimplifiedCondition, SimplifyResult,
                        sis_irrelevant_partition, find_max_cliques, simplify,

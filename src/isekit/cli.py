@@ -67,12 +67,11 @@ def cmd_discover(args) -> int:
     try:
         config = RunConfig(
             max_layer=args.max_layer,
-            drop_i5=False if args.keep_i5 else None,
             mode=args.mode,
             checkpoint_path=args.checkpoint,
         )
         report = discover(shape, config)
-    except (ValueError, CapExceededError, CheckpointError) as e:
+    except (OSError, ValueError, CapExceededError, CheckpointError) as e:
         return _error(e)
     elapsed = time.monotonic() - t0
     payload = report.dumps()
@@ -176,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("n", type=int)
     d.add_argument("--mode", choices=["sound", "conjectural"], default="sound")
     d.add_argument("--max-layer", type=int, default=None)
-    d.add_argument("--keep-i5", action="store_true",
-                   help="keep names with a 5 local digit in the filtered universe")
     d.add_argument("--out", default=None)
     d.add_argument("--checkpoint", default=None)
     d.set_defaults(fn=cmd_discover)

@@ -30,7 +30,7 @@ from .program import bits
 from .semantics import Semantics
 from .isets import CanonicalSearch, ISCondition, locals_from_name, make_condition
 
-CHECKPOINT_FORMAT = 2   # part of the log's config hash: bump to reject older logs
+CHECKPOINT_FORMAT = 3   # part of the log's config hash: bump to reject older logs
 
 
 class CheckpointError(RuntimeError):
@@ -43,7 +43,6 @@ class RunConfig:
     # goes once the benchmark stops passing jobs=1 (ROADMAP item 2)
     jobs: int = 1
     max_layer: Optional[int] = None
-    drop_i5: Optional[bool] = None   # default: drop when k+m+n > 2
     mode: str = "sound"
     checkpoint_path: Optional[str] = None
 
@@ -149,12 +148,22 @@ def is_semi_valid(r) -> bool:
     return bool((b & c) & ~h) or not (h & ~(b | c)) or bool((h & b) & ~c) or bool(h & b & c)
 
 
-def base_name_universe(shape, drop_i5: Optional[bool] = None) -> list[int]:
-    """Names with no 3/6/7 local digit (and no 5 for the larger shapes)."""
+def base_name_universe(shape) -> list[int]:
+    """IS': the names with no local digit 3, 6 or 7, nor 5 (head and
+    negative body) on shapes of more than two rules; `KNOWN_COUNTS` keeps 5
+    for two. Lemma: an atom in the head and the negative body of a rule can
+    leave the head; each HT pair (X, Y) satisfies the rule after iff before,
+    in both semantics. Proof: if the atom is in Y, the negative body meets
+    Y, so both rules hold at Y and leave its reduct; if not, it is not in X
+    either, and neither meets the head through it (rule-local, as in Eiter,
+    Fink, Tompits and Woltran, LPNMR 2004, on the HT models of Lifschitz,
+    Pearce and Valverde, ACM TOCL 2001). So the default report decides a
+    tuple with digit-5 names by its rewrite, every 5 made 1: names that then
+    coincide merge into one set, a singleton only if it came from one
+    singleton name (two names give it two atoms or more).
+    """
     n = sum(shape)
-    if drop_i5 is None:
-        drop_i5 = n > 2
-    banned = {3, 6, 7} | ({5} if drop_i5 else set())
+    banned = {3, 6, 7} | ({5} if n > 2 else set())
     out = []
     for v in range(1, 1 << (3 * n)):
         if not any(d in banned for d in locals_from_name(v, n)):
@@ -210,14 +219,6 @@ def verify_and_compute_mgse(shape, nis, sis,
                                                  sis=search.members(kept))
 
 
-def mnse_insert_minimal(mnse: list[ISCondition], c: ISCondition) -> list[ISCondition]:
-    """Keep the antichain of minimal failures under strict nis-inclusion."""
-    for e in mnse:
-        if e.nis <= c.nis:
-            return mnse
-    return [e for e in mnse if not c.nis < e.nis] + [c]
-
-
 def _discover_plain(shape, mode: str) -> SearchReport:
     """Verify every subset of the full name universe as a singleton condition.
 
@@ -228,14 +229,15 @@ def _discover_plain(shape, mode: str) -> SearchReport:
     names = list(range(1, 1 << (3 * sum(shape))))
     mgic: list[ISCondition] = []
     mnse: list[ISCondition] = []
-    # combinations come in sort_key order, so both lists are sorted
+    # combinations come in sort_key order, so both lists are sorted; sizes
+    # ascend, so a failure is minimal unless it holds an earlier one
     for size in range(0, len(names) + 1):
         for combo in combinations(names, size):
             res = verify_and_compute_mgse(shape, combo, combo)
             if res is not None:
                 mgic.append(res)
-            else:
-                mnse = mnse_insert_minimal(mnse, make_condition(shape, combo))
+            elif not any(e.nis <= set(combo) for e in mnse):
+                mnse.append(make_condition(shape, combo))
     stats = {"is": len(names), "is_prime": None, "is_dprime": None,
              "verified": 1 << len(names)}
     return SearchReport(
@@ -352,7 +354,6 @@ def _config_hash(shape, config: RunConfig) -> str:
         {
             "shape": list(shape),
             "mode": config.mode,
-            "drop_i5": config.drop_i5,
             "max_layer": config.max_layer,
             "format": CHECKPOINT_FORMAT,
         },
@@ -365,15 +366,16 @@ class _Checkpoint:
     """Append-only JSON-lines log of completed layers, validated on resume.
 
     An unterminated last line is a torn write: it is ignored on load and cut
-    off before the next append.
+    off before the next append. Any other line that is not a record of its
+    kind raises CheckpointError.
     """
 
     def __init__(self, path: Optional[str], shape, config: RunConfig):
         self.path = path
         self.hash = _config_hash(shape, config)
         self.shape = list(shape)
-        self.base = None
-        self.layers: list[dict] = []
+        self.base: Optional[tuple] = None   # (is2, mnse, verified)
+        self.layers: dict[int, tuple] = {}   # i -> (mgic, mnse_add, verified)
         self.has_header = False
         self.torn_at: Optional[int] = None
         if path and os.path.exists(path):
@@ -385,19 +387,28 @@ class _Checkpoint:
         end = data.rfind(b"\n") + 1
         if end < len(data):
             self.torn_at = end
-        lines = [json.loads(s) for s in data[:end].splitlines() if s.strip()]
-        if not lines:
-            return
-        head = lines[0]
-        if head.get("kind") != "header" or head.get("shape") != self.shape \
-                or head.get("config") != self.hash:
-            raise CheckpointError(f"checkpoint {self.path} does not match this run")
-        self.has_header = True
-        for rec in lines[1:]:
-            if rec["kind"] == "base":
-                self.base = rec
-            elif rec["kind"] == "layer":
-                self.layers.append(rec)
+        for lineno, line in enumerate(data[:end].splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                kind = rec["kind"]
+                if not self.has_header:
+                    if kind != "header" or rec["config"] != self.hash:
+                        raise CheckpointError(f"checkpoint {self.path} does not match this run")
+                    self.has_header = True
+                elif kind == "base":
+                    self.base = (list(rec["is2"]), [*map(ISCondition.from_json, rec["mnse"])],
+                                 rec["verified"])
+                elif kind == "layer":
+                    self.layers[rec["i"]] = ([*map(ISCondition.from_json, rec["mgic"])],
+                                             [*map(ISCondition.from_json, rec["mnse_add"])],
+                                             rec["verified"])
+                else:
+                    raise ValueError(f"unknown kind {kind!r}")
+            except (KeyError, TypeError, ValueError) as e:   # ValueError: bad JSON too
+                raise CheckpointError(f"checkpoint {self.path} line {lineno}: "
+                                      f"bad record ({type(e).__name__}: {e})") from None
 
     def _append(self, line: str):
         """Append one record, the text of a JSON object."""
@@ -433,29 +444,22 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
         if config.max_layer is not None or config.checkpoint_path is not None:
             raise ValueError("shapes of at most one rule have no layers to cap or resume: "
                              "drop max_layer and checkpoint_path")
-        if config.drop_i5:
-            raise ValueError("shapes of at most one rule enumerate every name: drop drop_i5")
         return _discover_plain(shape, config.mode)
 
-    is_prime = base_name_universe(shape, config.drop_i5)
+    is_prime = base_name_universe(shape)
     ckpt = _Checkpoint(config.checkpoint_path, shape, config)
 
-    verified = 0
-    mnse: list[ISCondition] = []
     if ckpt.base is not None:
-        is2 = list(ckpt.base["is2"])
-        mnse = [ISCondition.from_json(c) for c in ckpt.base["mnse"]]
-        verified += ckpt.base.get("verified", 0)
+        is2, mnse, verified = ckpt.base
     else:
-        is2 = []
+        is2, mnse, verified = [], [], len(is_prime)
         for x in is_prime:
-            verified += 1
             res = verify_and_compute_mgse(shape, (x,), (x,))
             if res is not None:
                 is2.append(x)
             else:
                 mnse.append(make_condition(shape, [x]))
-        ckpt.record_base(is2, mnse, len(is_prime))
+        ckpt.record_base(is2, mnse, verified)
 
     names = sorted(is2, reverse=True)   # bit idx of a layer mask stands for names[idx]
     search = CanonicalSearch(shape, names, Semantics.LPMLN)   # compiled once per run
@@ -467,14 +471,10 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
     tr = layer_hi
     partial = False
 
-    replay = {rec["i"]: rec for rec in ckpt.layers}
     prev: set[int] = set()   # the SE masks of the last layer
     for i in range(1, layer_hi + 1):
-        if i in replay:
-            rec = replay[i]
-            layer_mgic = [ISCondition.from_json(c) for c in rec["mgic"]]
-            layer_fail = [ISCondition.from_json(c) for c in rec["mnse_add"]]
-            verified += rec.get("verified", 0)
+        if i in ckpt.layers:
+            layer_mgic, layer_fail, layer_verified = ckpt.layers[i]
             prev = {search.mask(c.nis) for c in layer_mgic}
         else:
             # masks come in descending order, so both lists are sorted
@@ -493,13 +493,15 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
                               for s, kept in results if kept is None]
                 prev = {s for s, kept in results if kept is not None}
                 layer_verified = len(cands)
-            verified += layer_verified
             ckpt.record_layer(i, layer_mgic, layer_fail, layer_verified)
+        verified += layer_verified
         mgic.extend(layer_mgic)
         mnse.extend(layer_fail)   # candidates hold no earlier failure
         if i == 2:
             pool_mask = search.mask({v for c in layer_mgic for v in c.sis})
-        if not layer_mgic and mgic:
+        # exact: a minimal cover has at most k+m+n names and every other
+        # candidate extends an SE set of the layer before
+        if not layer_mgic and i >= total:
             tr = i
             break
     else:

@@ -8,6 +8,7 @@ import pytest
 
 import isekit as ik
 from isekit.cli import main
+from isekit.discovery import _config_hash
 
 
 def write(tmp_path, name, text):
@@ -198,6 +199,26 @@ def test_discover_checkpoint_of_other_shape(tmp_path, capsys):
     capsys.readouterr()
     assert main(["discover", "1", "1", "0", "--checkpoint", ck]) == 2
     assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("case", ["missing directory", "a directory", "[1]", "3", '{"foo":1}',
+                                  '{"kind":"layer"}', '{"kind":'])
+def test_discover_bad_checkpoint_is_an_error(case, tmp_path, capsys):
+    """A checkpoint that cannot be opened, or a complete line after the
+    header that is not a record of its kind, exits 2 with one error line."""
+    ck = tmp_path / "ck.jsonl"
+    if case == "missing directory":
+        ck = tmp_path / "missing" / "ck.jsonl"
+    elif case == "a directory":
+        ck = tmp_path
+    else:
+        header = {"kind": "header", "shape": [0, 1, 1], "config": _config_hash((0, 1, 1), ik.RunConfig())}
+        ck.write_text(json.dumps(header) + "\n" + case + "\n")
+    assert main(["discover", "0", "1", "1", "--checkpoint", str(ck)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    if case.startswith(("[", "{", "3")):
+        assert f"{ck} line 2:" in err, err
 
 
 def test_discover_max_layer_below_one(capsys):

@@ -26,13 +26,94 @@ def test_is_semi_valid():
     assert not ik.is_semi_valid(rule_of("a :- b."))
 
 
+def _universe_with_digit_5(shape):
+    """The names with no local digit 3, 6 or 7: IS' with its digit-5 names."""
+    n = sum(shape)
+    return [v for v in range(1, 1 << (3 * n))
+            if not any(d in (3, 6, 7) for d in ik.locals_from_name(v, n))]
+
+
 def test_full_and_filtered_universe_sizes():
     assert len(ik.base_name_universe((0, 1, 1))) == 24
     assert len(ik.base_name_universe((1, 1, 0))) == 24
     assert len(ik.base_name_universe((0, 2, 1))) == 63
     assert len(ik.base_name_universe((1, 1, 1))) == 63
-    # keeping digit-5 names enlarges the three-rule universe
-    assert len(ik.base_name_universe((1, 1, 1), drop_i5=False)) == 124
+    # two rules keep their digit-5 names; three drop them from 124 names
+    assert ik.base_name_universe((0, 1, 1)) == _universe_with_digit_5((0, 1, 1))
+    with_5 = _universe_with_digit_5((1, 1, 1))
+    assert len(with_5) == 124
+    assert ik.base_name_universe((1, 1, 1)) == [v for v in with_5
+                                                if 5 not in ik.locals_from_name(v, 3)]
+
+
+@pytest.mark.parametrize("sem", [ik.Semantics.LPMLN, ik.Semantics.ASP], ids=["lpmln", "asp"])
+def test_head_atom_in_the_negative_body_leaves_the_head(sem):
+    """The lemma of `base_name_universe`: removing head & nbody from every
+    head keeps the HT models, on random weighted programs that have such
+    an atom."""
+    rng = random.Random(f"digit-5-{sem.name}")
+    for _ in range(800):
+        u = rng.randint(2, 5)
+        rules = [ik.Rule(*(rng.getrandbits(u) for _ in range(3)), weight=rng.choice((-1.5, 0.5, 2.0)))
+                 for _ in range(rng.randint(1, 4))]
+        r, a = rng.randrange(len(rules)), 1 << rng.randrange(u)
+        rules[r] = ik.Rule(rules[r].head | a, rules[r].pbody, rules[r].nbody | a, rules[r].weight)
+        p = ik.Program(rules=tuple(rules))
+        q = ik.Program(rules=tuple(ik.Rule(x.head & ~x.nbody, x.pbody, x.nbody, x.weight)
+                                   for x in rules))
+        assert ik.ht_models(p, (1 << u) - 1, sem) == ik.ht_models(q, (1 << u) - 1, sem), rules
+
+
+def _five_to_one(name):
+    """The name with every local digit 5 made 1."""
+    return int(oct(name)[2:].replace("5", "1"), 8)
+
+
+@pytest.mark.parametrize("sem", [ik.Semantics.LPMLN, ik.Semantics.ASP], ids=["lpmln", "asp"])
+def test_digit_5_conditions_have_the_verdict_of_their_rewrite(sem):
+    """A condition with digit-5 names verifies as its rewrite: every 5 made
+    1, names that coincide merged, and a merged set a singleton only if it
+    came from one singleton name. The kept singletons correspond too, and
+    the bigint kernel on the rewrite's canonical tuple agrees."""
+    rng = random.Random(f"rewrite-{sem.name}")
+    keepers = {(1, 1, 1): 0o402, (0, 2, 2): 0o424}   # kept beside the all-4 name
+    seen = Counter()
+    for shape in [(0, 2, 1), (1, 1, 1), (1, 2, 0), (0, 2, 2)]:
+        n = sum(shape)
+        core = int("4" * n, 8)
+        pool = _universe_with_digit_5(shape)
+        fives = [v for v in pool if 5 in ik.locals_from_name(v, n)]
+        for j in range(250):
+            five = rng.choice(fives)
+            if shape in keepers and j % 3 == 0:
+                nis = {five, core, keepers[shape]}
+            else:
+                nis = {five, *rng.sample(pool, rng.randint(0, 3))}
+                if rng.random() < 0.6:
+                    nis.add(core)
+            if rng.random() < 0.3:   # the name that five becomes
+                nis.add(_five_to_one(five))
+            sis = {v for v in nis if rng.random() < 0.5 or v == keepers.get(shape)}
+            images = Counter(map(_five_to_one, nis))
+            nis2 = set(images)
+            sis2 = {_five_to_one(v) for v in sis if images[_five_to_one(v)] == 1}
+            got = ik.verify_and_compute_mgse(shape, nis, sis, sem)
+            want = ik.verify_and_compute_mgse(shape, nis2, sis2, sem)
+            assert (got is None) == (want is None), (shape, nis, sis)
+            if got is not None:
+                assert set(map(_five_to_one, got.sis)) == want.sis, (shape, nis, sis)
+            if j % 10 == 0:
+                assert _oracle_verify(shape, nis2, sis2, sem) == want, (shape, nis2, sis2)
+            seen["SE" if got else "not SE"] += 1
+            seen["kept singletons"] += bool(got and got.sis)
+            seen["merged"] += len(nis2) < len(nis)
+    assert min(seen.values()) >= 10, seen
+    if sem is ik.Semantics.ASP:
+        # 0o250 and 0o210, two singletons of 0-2-1, merge into a set of two
+        # atoms: not SE, although 0o210 alone as a singleton is
+        both = {0o210, 0o250}
+        assert ik.verify_and_compute_mgse((0, 2, 1), both, both, sem) is None
+        assert ik.verify_and_compute_mgse((0, 2, 1), {0o210}, {0o210}, sem) is not None
 
 
 def test_filtered_universe_content():
@@ -82,21 +163,6 @@ def test_verify_known_se_condition():
     cond_names = {36, 9, 13, 18, 41, 45}
     res = ik.verify_and_compute_mgse((0, 1, 1), cond_names, cond_names)
     assert res is not None
-
-
-def test_mnse_insert_minimal():
-    shape = (0, 1, 0)
-    mk = lambda names: ik.make_condition(shape, names)
-    mnse = ik.mnse_insert_minimal([], mk({4}))
-    assert [sorted(c.nis) for c in mnse] == [[4]]
-    # supersets of a recorded failure are ignored
-    assert ik.mnse_insert_minimal(mnse, mk({4, 2})) == mnse
-    # a smaller failure evicts its supersets
-    mnse2 = ik.mnse_insert_minimal([mk({4, 2})], mk({4}))
-    assert [sorted(c.nis) for c in mnse2] == [[4]]
-    # incomparable failures accumulate
-    mnse3 = ik.mnse_insert_minimal(mnse, mk({2, 1}))
-    assert len(mnse3) == 2
 
 
 def test_basic_counts_single_fact_problem(sound_reports):
@@ -513,7 +579,7 @@ def test_failures_plus_one_name_stay_non_se(sem, sound_reports, large_sound_repo
     reports = {**sound_reports, **large_sound_reports}
     rng = random.Random(f"lemma-{sem.name}")
     for shape, (report, _) in reports.items():
-        is_prime = ik.base_name_universe(shape, drop_i5=False)
+        is_prime = _universe_with_digit_5(shape)
         checked, se = _extensions_stay_non_se(report, sem, rng, is_prime, 3)
         assert checked and not se, (shape, checked, se)
     for shape in [(0, 1, 1), (1, 1, 1)]:
@@ -524,13 +590,12 @@ def test_failures_plus_one_name_stay_non_se(sem, sound_reports, large_sound_repo
         assert se, shape
 
 
-def test_one_rule_shapes_refuse_drop_i5():
-    # the 2^7 enumeration covers every name, digit 5 or not
-    for shape in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]:
-        with pytest.raises(ValueError, match="drop_i5"):
-            ik.discover(shape, ik.RunConfig(drop_i5=True))
-    # False is the one-rule default, which the CLI's --keep-i5 passes
-    assert ik.discover((0, 1, 0), ik.RunConfig(drop_i5=False)).dumps() == ik.discover((0, 1, 0)).dumps()
+def test_empty_mgic_shapes_stop_at_layer_k_m_n():
+    """With no SE set at layer k+m+n, no later layer has a candidate."""
+    for shape, tr, n_mnse in [((0, 2, 0), 2, 9), ((0, 0, 2), 2, 9), ((0, 3, 0), 3, 37)]:
+        report = ik.discover(shape)
+        assert (report.tr, len(report.mgic), len(report.mnse)) == (tr, 0, n_mnse), shape
+        assert "partial" not in report.stats
 
 
 def test_one_rule_shapes_take_no_layer_cap_or_checkpoint(tmp_path):
@@ -545,6 +610,9 @@ def test_one_rule_shapes_take_no_layer_cap_or_checkpoint(tmp_path):
 
 # sha256 prefixes of report.dumps(), (mode, shape, max_layer) -> digest
 REPORT_DIGESTS = {
+    ("sound", (0, 0, 0), None): "dff2dc75ee9b97d4",
+    ("sound", (0, 0, 1), None): "7a69deb861fa5abf",
+    ("sound", (1, 0, 0), None): "e34b654338108dc6",
     ("sound", (0, 1, 0), None): "3946828880b9e3a7",
     ("sound", (0, 1, 1), None): "2d2733c859ac488e",
     ("sound", (1, 1, 0), None): "3e2c46e64f66b4e5",
@@ -577,6 +645,8 @@ def test_report_bytes_are_pinned(sound_reports, large_sound_reports, conjectural
     got = {("sound", shape, None): _digest(report)
            for shape, (report, _) in {**sound_reports, **large_sound_reports}.items()}
     got[("sound", (1, 1, 1), 7)] = _digest(ik.discover((1, 1, 1), ik.RunConfig(max_layer=7)))
+    for shape in [(0, 0, 0), (0, 0, 1), (1, 0, 0)]:
+        got[("sound", shape, None)] = _digest(ik.discover(shape))
     got.update({("conjectural", shape, None): _digest(report)
                 for shape, report in conjectural_reports.items()})
     assert got == REPORT_DIGESTS
