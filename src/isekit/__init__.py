@@ -7,17 +7,14 @@ from .semantics import (Semantics, HTInterpretation, satisfies, gl_reduct,
                         lpmln_reduct, stable_models, weight_degree,
                         ht_satisfies, ht_models, equivalent,
                         CapExceededError, MissingWeightError)
-from .isets import (ISCondition, locals_from_name, name_from_locals,
-                    classify_locals, extract_isets, reconstruct_tuple,
-                    canonical_tuple, relation, make_condition,
+from .isets import (ISCondition, locals_from_name, extract_isets,
+                    reconstruct_tuple, canonical_tuple, make_condition,
                     ShapeMismatchError)
 from .transforms import (TransformKind, PreservationClass, apply_transform,
                          preservation_class, TransformGuardError,
                          UnknownAtomError, FreshAtomCollisionError)
-from .discovery import (SearchReport, RunConfig, is_semi_valid,
-                        base_name_universe, sic2_excluded,
-                        verify_and_compute_mgse,
-                        discover, KNOWN_COUNTS)
+from .discovery import (SearchReport, RunConfig, base_name_universe,
+                        verify_and_compute_mgse, discover, KNOWN_COUNTS)
 from .simplify import (Clique, SimplifiedCondition, SimplifyResult,
                        sis_irrelevant_partition, find_max_cliques, simplify,
                        condition_holds, sim_holds)

@@ -30,7 +30,7 @@ from .program import bits
 from .semantics import Semantics
 from .isets import CanonicalSearch, ISCondition, locals_from_name, make_condition
 
-CHECKPOINT_FORMAT = 3   # part of the log's config hash: bump to reject older logs
+CHECKPOINT_FORMAT = 4   # part of the log's config hash: bump to reject older logs
 
 
 class CheckpointError(RuntimeError):
@@ -142,12 +142,6 @@ def _conditions_text(conds: list[ISCondition]) -> str:
     return f'[{",".join(texts)}]'
 
 
-def is_semi_valid(r) -> bool:
-    """Single rule equivalent to nothing: overlap/tautology present or head gone."""
-    h, b, c = r.head, r.pbody, r.nbody
-    return bool((b & c) & ~h) or not (h & ~(b | c)) or bool((h & b) & ~c) or bool(h & b & c)
-
-
 def base_name_universe(shape) -> list[int]:
     """IS': the names with no local digit 3, 6 or 7, nor 5 (head and
     negative body) on shapes of more than two rules; `KNOWN_COUNTS` keeps 5
@@ -178,14 +172,6 @@ def _head_cover(name: int, n_rules: int) -> int:
         if (name >> (3 * k)) & 7 == 4:
             cover |= 1 << k
     return cover
-
-
-def sic2_excluded(c: ISCondition) -> bool:
-    """True iff some rule position has no non-empty name with local digit 4."""
-    covered = 0
-    for v in c.nis:
-        covered |= _head_cover(v, c.n_rules)
-    return covered != (1 << c.n_rules) - 1
 
 
 def _verify(search: CanonicalSearch, sis: int) -> Optional[int]:
@@ -363,25 +349,29 @@ def _config_hash(shape, config: RunConfig) -> str:
 
 
 class _Checkpoint:
-    """Append-only JSON-lines log of completed layers, validated on resume.
+    """Append-only JSON-lines log of what a run cannot derive, validated on
+    resume: the base record holds IS'' (`is2`), and each layer record the
+    verdicts `[mask, kept]` of its candidates, masks over the names in
+    descending order, `kept` the mask of the kept singletons or null if the
+    candidate is not SE.
 
     An unterminated last line is a torn write: it is ignored on load and cut
     off before the next append. Any other line that is not a record of its
     kind raises CheckpointError.
     """
 
-    def __init__(self, path: Optional[str], shape, config: RunConfig):
+    def __init__(self, path: Optional[str], shape, config: RunConfig, is_prime: list[int]):
         self.path = path
         self.hash = _config_hash(shape, config)
         self.shape = list(shape)
-        self.base: Optional[tuple] = None   # (is2, mnse, verified)
-        self.layers: dict[int, tuple] = {}   # i -> (mgic, mnse_add, verified)
+        self.base: Optional[list[int]] = None   # is2
+        self.layers: dict[int, list] = {}   # i -> [[mask, kept], ...]
         self.has_header = False
         self.torn_at: Optional[int] = None
         if path and os.path.exists(path):
-            self._load()
+            self._load(set(is_prime))
 
-    def _load(self):
+    def _load(self, is_prime: set[int]):
         with open(self.path, "rb") as f:
             data = f.read()
         end = data.rfind(b"\n") + 1
@@ -398,20 +388,35 @@ class _Checkpoint:
                         raise CheckpointError(f"checkpoint {self.path} does not match this run")
                     self.has_header = True
                 elif kind == "base":
-                    self.base = (list(rec["is2"]), [*map(ISCondition.from_json, rec["mnse"])],
-                                 rec["verified"])
+                    is2 = rec["is2"]
+                    if self.base is not None:
+                        raise ValueError("a second base record")
+                    if not (type(is2) is list and all(type(v) is int for v in is2)
+                            and set(is2) <= is_prime and is2 == sorted(set(is2))):
+                        raise ValueError("is2 is not a strictly ascending list of names of IS'")
+                    self.base = is2
                 elif kind == "layer":
-                    self.layers[rec["i"]] = ([*map(ISCondition.from_json, rec["mgic"])],
-                                             [*map(ISCondition.from_json, rec["mnse_add"])],
-                                             rec["verified"])
+                    i, results = rec["i"], rec["results"]
+                    if self.base is None:
+                        raise ValueError("a layer record before the base record")
+                    if i in self.layers:
+                        raise ValueError(f"a second record of layer {i}")
+                    if type(results) is not list:
+                        raise ValueError("results is not a list")
+                    limit = 1 << len(self.base)
+                    for mask, kept in results:
+                        if not (type(mask) is int and 0 < mask < limit and mask.bit_count() == i):
+                            raise ValueError(f"mask {mask!r} is not a set of {i} names of IS''")
+                        if not (kept is None or type(kept) is int and kept | mask == mask):
+                            raise ValueError(f"kept {kept!r} is not null or a subset of {mask}")
+                    self.layers[i] = results
                 else:
                     raise ValueError(f"unknown kind {kind!r}")
             except (KeyError, TypeError, ValueError) as e:   # ValueError: bad JSON too
                 raise CheckpointError(f"checkpoint {self.path} line {lineno}: "
                                       f"bad record ({type(e).__name__}: {e})") from None
 
-    def _append(self, line: str):
-        """Append one record, the text of a JSON object."""
+    def _append(self, rec: dict):
         with open(self.path, "a") as f:
             if self.torn_at is not None:
                 f.truncate(self.torn_at)
@@ -420,17 +425,15 @@ class _Checkpoint:
                 f.write(json.dumps({"kind": "header", "shape": self.shape,
                                     "config": self.hash}) + "\n")
                 self.has_header = True
-            f.write(line + "\n")
+            f.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
-    def record_base(self, is2, mnse, verified):
+    def record_base(self, is2: list[int]):
         if self.path:
-            self._append(f'{{"kind":"base","is2":{json.dumps(list(is2))},'
-                         f'"mnse":{_conditions_text(mnse)},"verified":{verified}}}')
+            self._append({"kind": "base", "is2": is2})
 
-    def record_layer(self, i, layer_mgic, layer_fail, verified):
+    def record_layer(self, i: int, results: list):
         if self.path:
-            self._append(f'{{"kind":"layer","i":{i},"mgic":{_conditions_text(layer_mgic)},'
-                         f'"mnse_add":{_conditions_text(layer_fail)},"verified":{verified}}}')
+            self._append({"kind": "layer", "i": i, "results": results})
 
 
 def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
@@ -447,19 +450,13 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
         return _discover_plain(shape, config.mode)
 
     is_prime = base_name_universe(shape)
-    ckpt = _Checkpoint(config.checkpoint_path, shape, config)
-
-    if ckpt.base is not None:
-        is2, mnse, verified = ckpt.base
-    else:
-        is2, mnse, verified = [], [], len(is_prime)
-        for x in is_prime:
-            res = verify_and_compute_mgse(shape, (x,), (x,))
-            if res is not None:
-                is2.append(x)
-            else:
-                mnse.append(make_condition(shape, [x]))
-        ckpt.record_base(is2, mnse, verified)
+    ckpt = _Checkpoint(config.checkpoint_path, shape, config, is_prime)
+    is2 = ckpt.base
+    if is2 is None:
+        is2 = [x for x in is_prime if verify_and_compute_mgse(shape, (x,), (x,)) is not None]
+        ckpt.record_base(is2)
+    mnse = [make_condition(shape, [x]) for x in sorted(set(is_prime) - set(is2))]
+    verified = len(is_prime)
 
     names = sorted(is2, reverse=True)   # bit idx of a layer mask stands for names[idx]
     search = CanonicalSearch(shape, names, Semantics.LPMLN)   # compiled once per run
@@ -473,32 +470,28 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
 
     prev: set[int] = set()   # the SE masks of the last layer
     for i in range(1, layer_hi + 1):
-        if i in ckpt.layers:
-            layer_mgic, layer_fail, layer_verified = ckpt.layers[i]
-            prev = {search.mask(c.nis) for c in layer_mgic}
-        else:
+        # deep conjectural layers: every candidate is taken as SE; its
+        # singletons come from the layer-2 harvest
+        guessed = conjectural and i > total
+        results = ckpt.layers.get(i)   # (mask, kept mask or None) per candidate
+        if results is None:
             # masks come in descending order, so both lists are sorted
             cands = _layer_candidates(names, i, total, prev)
-            if conjectural and i > total:
-                # deep layers: every candidate is taken as SE; its
-                # singletons come from the layer-2 harvest
-                layer_mgic = [ISCondition(shape=shape, nis=members(s),
-                                          sis=members(s & pool_mask)) for s in cands]
-                layer_fail, prev, layer_verified = [], set(cands), 0
+            if guessed:
+                results = [(s, s & pool_mask) for s in cands]
             else:
-                results = list(zip(cands, (_verify(search.select(s), s) for s in cands)))
-                layer_mgic = [ISCondition(shape=shape, nis=members(s), sis=members(kept))
-                              for s, kept in results if kept is not None]
-                layer_fail = [ISCondition(shape=shape, nis=members(s), sis=members(s))
-                              for s, kept in results if kept is None]
-                prev = {s for s, kept in results if kept is not None}
-                layer_verified = len(cands)
-            ckpt.record_layer(i, layer_mgic, layer_fail, layer_verified)
-        verified += layer_verified
+                results = [(s, _verify(search.select(s), s)) for s in cands]
+            ckpt.record_layer(i, results)
+        layer_mgic = [ISCondition(shape=shape, nis=members(s), sis=members(kept))
+                      for s, kept in results if kept is not None]
         mgic.extend(layer_mgic)
-        mnse.extend(layer_fail)   # candidates hold no earlier failure
+        mnse.extend(ISCondition(shape=shape, nis=members(s), sis=members(s))
+                    for s, kept in results if kept is None)   # they hold no earlier failure
+        prev = {s for s, kept in results if kept is not None}
+        verified += 0 if guessed else len(results)
         if i == 2:
-            pool_mask = search.mask({v for c in layer_mgic for v in c.sis})
+            for _, kept in results:
+                pool_mask |= kept or 0
         # exact: a minimal cover has at most k+m+n names and every other
         # candidate extends an SE set of the layer before
         if not layer_mgic and i >= total:

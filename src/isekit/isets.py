@@ -30,22 +30,6 @@ def locals_from_name(value: int, n_rules: int) -> list[int]:
     return out
 
 
-def name_from_locals(digits: Iterable[int]) -> int:
-    value = 0
-    for d in digits:
-        if not 0 <= d <= 7:
-            raise ValueError(f"local index {d} out of range")
-        value = (value << 3) | d
-    if value == 0:
-        raise ValueError("all-zero pattern does not name an independent set")
-    return value
-
-
-def classify_locals(value: int, n_rules: int) -> list[tuple[bool, bool, bool]]:
-    """Per-rule (in_head, in_pbody, in_nbody) membership flags."""
-    return [(bool(d & 4), bool(d & 2), bool(d & 1)) for d in locals_from_name(value, n_rules)]
-
-
 def extract_isets(T: ProgramTuple) -> dict[int, int]:
     """Bucket each atom of at(T) under its membership-pattern name.
 
@@ -367,15 +351,3 @@ def canonical_tuple(c: ISCondition) -> ProgramTuple:
     width = sum(1 if name in c.sis else 2 for name in c.nis)
     return _tuple_of(Universe(f"x{j}" for j in range(width)), tuple(c.shape), rules)
 
-
-def relation(c1: ISCondition, c2: ISCondition) -> str:
-    """One of equal / less (c1 < c2) / subset (c1 ⊂ c2) / incomparable."""
-    if c1.shape != c2.shape:
-        raise ShapeMismatchError(f"shapes differ: {c1.shape} vs {c2.shape}")
-    if c1.nis == c2.nis and c1.sis == c2.sis:
-        return "equal"
-    if c1.nis == c2.nis and c2.sis < c1.sis:
-        return "less"
-    if c1.sis == c1.nis and c2.sis == c2.nis and c1.nis < c2.nis:
-        return "subset"
-    return "incomparable"

@@ -201,11 +201,32 @@ def test_discover_checkpoint_of_other_shape(tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
-@pytest.mark.parametrize("case", ["missing directory", "a directory", "[1]", "3", '{"foo":1}',
-                                  '{"kind":"layer"}', '{"kind":'])
-def test_discover_bad_checkpoint_is_an_error(case, tmp_path, capsys):
+# the base record of a 0-1-1 run: IS'' has 16 names, so a layer mask is below 2^16
+BASE_011 = '{"kind":"base","is2":[1,2,5,8,9,10,13,16,17,18,21,36,40,41,42,45]}'
+
+
+@pytest.mark.parametrize("case, bad_line", [
+    *(pytest.param(case, line, id=case) for case, line in [
+        ("missing directory", None), ("a directory", None), ("[1]", 2), ("3", 2),
+        ('{"foo":1}', 2), ('{"kind":"layer"}', 2), ('{"kind":', 2)]),
+    pytest.param(BASE_011.replace("[1,2,", "[1,2,3,"), 2, id="is2 names 3, not in IS'"),
+    pytest.param(BASE_011.replace("[1,2,", "[2,1,"), 2, id="is2 not ascending"),
+    pytest.param(BASE_011 + '\n{"kind":"layer","i":1,"results":[[65536,0]]}', 3,
+                 id="a name past IS''"),
+    pytest.param(BASE_011 + '\n{"kind":"layer","i":1,"results":[[0,null]]}', 3, id="an empty mask"),
+    pytest.param(BASE_011 + '\n{"kind":"layer","i":1,"results":[[17,0]]}', 3,
+                 id="two names in layer 1"),
+    pytest.param(BASE_011 + '\n{"kind":"layer","i":1,"results":[[16,1]]}', 3,
+                 id="kept outside its mask"),
+    pytest.param('{"kind":"layer","i":1,"results":[[16,0]]}\n' + BASE_011, 2,
+                 id="a layer before the base"),
+    pytest.param(BASE_011 + '\n{"kind":"layer","i":1,"results":[[16,0]]}' * 2, 4,
+                 id="a layer twice"),
+])
+def test_discover_bad_checkpoint_is_an_error(case, bad_line, tmp_path, capsys):
     """A checkpoint that cannot be opened, or a complete line after the
-    header that is not a record of its kind, exits 2 with one error line."""
+    header that is not a valid record of its kind or comes out of order,
+    exits 2 with one error line naming that line."""
     ck = tmp_path / "ck.jsonl"
     if case == "missing directory":
         ck = tmp_path / "missing" / "ck.jsonl"
@@ -217,8 +238,8 @@ def test_discover_bad_checkpoint_is_an_error(case, tmp_path, capsys):
     assert main(["discover", "0", "1", "1", "--checkpoint", str(ck)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
-    if case.startswith(("[", "{", "3")):
-        assert f"{ck} line 2:" in err, err
+    if bad_line is not None:
+        assert f"{ck} line {bad_line}:" in err, err
 
 
 def test_discover_max_layer_below_one(capsys):

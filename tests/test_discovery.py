@@ -12,20 +12,6 @@ from isekit.discovery import CheckpointError, _head_cover, _layer_candidates, _v
 from isekit.isets import CanonicalSearch
 
 
-def rule_of(text):
-    u = ik.Universe()
-    return ik.parse_program(text, u).rules[0]
-
-
-def test_is_semi_valid():
-    assert not ik.is_semi_valid(rule_of("a."))
-    assert ik.is_semi_valid(rule_of("a :- not a."))
-    assert ik.is_semi_valid(rule_of("a :- a."))
-    assert ik.is_semi_valid(rule_of("b :- a, not a."))
-    assert ik.is_semi_valid(rule_of(":- a."))
-    assert not ik.is_semi_valid(rule_of("a :- b."))
-
-
 def _universe_with_digit_5(shape):
     """The names with no local digit 3, 6 or 7: IS' with its digit-5 names."""
     n = sum(shape)
@@ -121,16 +107,6 @@ def test_filtered_universe_content():
     assert 36 in names and 9 in names
     assert all(d not in (3, 6, 7) for v in names
                for d in ik.locals_from_name(v, 2))
-
-
-def test_sic2_excluded():
-    shape = (0, 1, 1)
-    # 36 has digit 4 in both rules: fully covered
-    assert not ik.sic2_excluded(ik.make_condition(shape, {36}))
-    # 32 covers rule 1 only
-    assert ik.sic2_excluded(ik.make_condition(shape, {32}))
-    assert not ik.sic2_excluded(ik.make_condition(shape, {32, 4}))
-    assert ik.sic2_excluded(ik.make_condition(shape, {9}))
 
 
 def test_verify_fact_against_empty_fails():
@@ -233,6 +209,10 @@ def test_checkpoint_resume_reproduces_report(tmp_path, sound_reports):
     path = str(tmp_path / "ck.jsonl")
     first = ik.discover((0, 1, 1), ik.RunConfig(checkpoint_path=path))
     assert first.dumps() == sound.dumps()
+    # the log holds IS'' and candidate masks, no conditions
+    with open(path) as f:
+        records = [json.loads(line) for line in f]
+    assert [sorted(r) for r in records[1:]] == [["is2", "kind"]] + [["i", "kind", "results"]] * first.tr
     # a resumed run replays the log instead of re-verifying, byte-identically
     again = ik.discover((0, 1, 1), ik.RunConfig(checkpoint_path=path))
     assert again.dumps() == first.dumps()
@@ -479,16 +459,22 @@ def test_mnse_is_an_antichain(sound_reports, large_sound_reports, conjectural_re
 
 
 def test_checkpoint_resumes_at_every_layer_boundary(tmp_path):
+    """In both modes. The conjectural 1-1-0 log holds the guessed layers
+    3..12; on 1-1-1 the guessed layer 4 takes singletons from layer 2."""
     path = tmp_path / "ck.jsonl"
-    whole = ik.discover((1, 1, 0), ik.RunConfig(checkpoint_path=str(path))).dumps()
-    log = path.read_bytes()
-    lines = log.splitlines(keepends=True)
-    assert len(lines) == 2 + 12   # header, base, layers 1..TR
-    for keep in range(2, len(lines)):   # after the base, after each layer k
-        path.write_bytes(b"".join(lines[:keep]))
-        again = ik.discover((1, 1, 0), ik.RunConfig(checkpoint_path=str(path)))
-        assert again.dumps() == whole, keep
-        assert path.read_bytes() == log, keep
+    for shape, mode, max_layer in [((1, 1, 0), "sound", None), ((1, 1, 0), "conjectural", None),
+                                   ((1, 1, 1), "conjectural", 4)]:
+        config = ik.RunConfig(mode=mode, max_layer=max_layer, checkpoint_path=str(path))
+        path.unlink(missing_ok=True)
+        whole = ik.discover(shape, config).dumps()
+        log = path.read_bytes()
+        lines = log.splitlines(keepends=True)
+        assert len(lines) == 2 + (max_layer or 12), mode   # header, base, layers 1..TR
+        for keep in range(2, len(lines)):   # after the base, after each layer k
+            path.write_bytes(b"".join(lines[:keep]))
+            again = ik.discover(shape, config)
+            assert again.dumps() == whole, (shape, mode, keep)
+            assert path.read_bytes() == log, (shape, mode, keep)
 
 
 def test_unknown_mode_is_rejected():

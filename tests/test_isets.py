@@ -5,7 +5,7 @@ import random
 import pytest
 
 import isekit as ik
-from isekit.isets import CanonicalSearch, canonical_rules, locals_from_name, name_from_locals
+from isekit.isets import CanonicalSearch, canonical_rules, locals_from_name
 
 
 def test_locals_from_name_single_rule():
@@ -21,27 +21,11 @@ def test_locals_from_name_known_values():
     assert locals_from_name(48, 2) == [6, 0]
 
 
-def test_name_from_locals_round_trip():
-    for name, n in [(16674, 5), (2324, 5), (36, 2), (48, 2), (1, 1), (7, 1)]:
-        assert name_from_locals(locals_from_name(name, n)) == name
-
-
 def test_name_range_checks():
     with pytest.raises(ValueError):
         locals_from_name(0, 1)
     with pytest.raises(ValueError):
         locals_from_name(8, 1)
-    with pytest.raises(ValueError):
-        name_from_locals([0, 0])
-
-
-def test_classify_locals():
-    assert ik.classify_locals(4, 1) == [(True, False, False)]
-    assert ik.classify_locals(2, 1) == [(False, True, False)]
-    assert ik.classify_locals(1, 1) == [(False, False, True)]
-    assert ik.classify_locals(3, 1) == [(False, True, True)]
-    assert ik.classify_locals(7, 1) == [(True, True, True)]
-    assert ik.classify_locals(48, 2) == [(True, True, False), (False, False, False)]
 
 
 def test_extract_single_overlapping_rule():
@@ -160,21 +144,6 @@ def test_canonical_tuple_orders_names_ascending():
     assert sorted(u.mask_names(buckets[9])) == ["x0", "x1"]
     assert sorted(u.mask_names(buckets[36])) == ["x2"]
     assert T.segment_sizes == (0, 1, 1)
-
-
-def test_relation_cases():
-    shape = (0, 1, 1)
-    c = ik.make_condition(shape, {36, 9}, {36})
-    assert ik.relation(c, ik.make_condition(shape, {36, 9}, {36})) == "equal"
-    assert ik.relation(ik.make_condition(shape, {36, 9}, {36, 9}), c) == "less"
-    assert ik.relation(c, ik.make_condition(shape, {36, 9}, {36, 9})) == "incomparable"
-    # the containment case applies to fully-singleton conditions only
-    full = ik.make_condition(shape, {36, 9})
-    assert ik.relation(full, ik.make_condition(shape, {36, 9, 18})) == "subset"
-    assert ik.relation(c, ik.make_condition(shape, {36, 9, 18}, {36})) == "incomparable"
-    assert ik.relation(c, ik.make_condition(shape, {36, 18}, {36})) == "incomparable"
-    with pytest.raises(ik.ShapeMismatchError):
-        ik.relation(c, ik.make_condition((1, 1, 0), {36, 9}, {36}))
 
 
 def test_condition_sort_key_orders_by_size_then_content():
