@@ -9,11 +9,15 @@ each candidate's mask); one question, with two atoms for every name,
 settles most conditions and all their singletons at once.
 
 `discover(shape, RunConfig(mode=...))` is the one entry point:
-  sound        explores conditions layer by layer (layer i = conditions with
+  sound        lists conditions layer by layer (layer i = conditions with
                i non-empty sets) built from layer i-1's SE sets, kept as int
                masks over IS''; its failures are the minimal non-SE-conditions
-  conjectural  verifies only the first k+m+n layers and classifies the rest
+  conjectural  decides only the first k+m+n layers and classifies the rest
                by the observed minimality/singleton regularities
+A listed candidate is not verified on its own: its verdict is read off the
+border, found once per run by Dualize and Advance (`_border_verdicts`). It
+is SE iff it lies under a maximal SE set (a top), and it keeps the
+singletons of the minimal kept pairs that it holds.
 Shapes of at most one rule enumerate every subset of their (at most 7)
 names instead, since layered pruning is unsound there.
 """
@@ -237,6 +241,13 @@ def _discover_plain(shape, mode: str) -> SearchReport:
     )
 
 
+def _coverers(names: list[int], n_rules: int) -> list[int]:
+    """Per rule, the mask of the names (bit idx for names[idx]) with digit 4
+    there: a set covers the rule iff it meets this mask."""
+    return [sum(1 << idx for idx, v in enumerate(names) if _head_cover(v, n_rules) >> k & 1)
+            for k in range(n_rules)]
+
+
 def _layer_candidates(names: list[int], i: int, n_rules: int, prev: set[int]) -> list[int]:
     """Size-i sets of names that cover every rule with a digit-4 name and
     hold no failure, given `prev`, the masks of layer i-1's SE sets.
@@ -274,8 +285,7 @@ def _layer_candidates(names: list[int], i: int, n_rules: int, prev: set[int]) ->
     head or negative body, where neither value keeps r violated; that is
     why shapes of at most one rule, which keep them, use `_discover_plain`.
     """
-    coverers = [sum(1 << idx for idx, v in enumerate(names) if _head_cover(v, n_rules) >> k & 1)
-                for k in range(n_rules)]
+    coverers = _coverers(names, n_rules)
 
     def lone(s: int) -> int:
         """The names of s that alone cover some rule."""
@@ -335,6 +345,114 @@ def _layer_candidates(names: list[int], i: int, n_rules: int, prev: set[int]) ->
     return out
 
 
+def _border(universe: int, edges: list[int], limit: int, holds) -> tuple[list[int], list[int]]:
+    """Dualize and Advance (Gunopulos, Khardon, Mannila, Saluja, Toivonen and
+    Sharma, ACM TODS 2003) for a predicate `holds` closed under subsets, over
+    the subsets of the mask `universe` that meet every edge: (tops, failures),
+    tops maximal sets where it holds and failures the minimal sets where it
+    fails, of at most `limit` names.
+
+    The minimal transversals of the edges, and of each top's complement, are
+    kept up to date by Berge's one-edge step (as in Fredman and Khachiyan,
+    J. Algorithms 1996). Each is asked once: a failure lies under no top, so
+    it meets every later edge and stays minimal. The first that holds grows
+    into a top by each other name in turn that keeps `holds` true. When
+    every transversal fails, they are the failures, and each set of at most
+    `limit` names that meets the edges and holds lies under a top: it holds
+    a minimal transversal, which holds too. The limit is exact, as a minimal
+    transversal after a step holds one before it of no more names.
+    """
+    hypergraph: list[int] = []
+
+    def add(transversals: list[int], edge: int) -> list[int]:
+        out = []
+        for t in transversals:
+            if t & edge:
+                out.append(t)
+                continue
+            if t.bit_count() >= limit:
+                continue
+            # t | e is minimal unless e lies in every edge that meets t in
+            # one name only, for one of t's names
+            private: dict[int, int] = {}
+            for h in hypergraph:
+                one = h & t
+                if one and not one & (one - 1):
+                    private[one] = private.get(one, h) & h
+            dead = 0
+            for h in private.values():
+                dead |= h
+            out.extend(t | 1 << e for e in bits(edge & ~dead))
+        hypergraph.append(edge)
+        return out
+
+    pending = [0]
+    for edge in edges:
+        pending = add(pending, edge)
+    tops: list[int] = []
+    failures: list[int] = []
+    while pending:
+        t = pending.pop()
+        if not holds(t):
+            failures.append(t)
+            continue
+        top = t
+        for e in bits(universe & ~t):
+            if holds(top | 1 << e):
+                top |= 1 << e
+        tops.append(top)
+        pending.append(t)
+        pending = add(pending, universe & ~top)
+    return tops, failures
+
+
+def _border_verdicts(search: CanonicalSearch, coverers: list[int], limit: int):
+    """The verdict of `_verify(search.select(s), s)` for every covered mask s
+    of at most `limit` names, read off the border: s is SE iff it lies under
+    a top, and it keeps the singleton b iff it holds a minimal pair (t | b, b).
+
+    "(S, S) is SE" is closed under subsets by `_layer_candidates`' lemma.
+    For one name b, so is "(T ∪ {b}, T) is SE", and b is kept in an SE set S
+    iff that fails for T = S - {b}, since the two-atom name b adds only the
+    states that `grow` gives it. So keeping b is closed under supersets: if
+    S lies under the top M, b is kept in M too, and the minimal pairs come
+    from the tops and the names that they keep.
+    """
+    def se(s: int) -> bool:
+        return search.select(s).equivalent(search.domains(s))
+
+    tops, _ = _border((1 << len(search.names)) - 1, coverers, limit, se)
+    pairs = set()   # (t | b, b): the SE sets that hold t | b keep b
+    for top in tops:
+        for i in bits(_verify(search.select(top), top)):
+            b = 1 << i
+
+            def loose(t: int, b=b) -> bool:   # b is not kept in t | b
+                return search.select(t | b).equivalent(search.domains(t))
+
+            _, lows = _border(top ^ b, [c & top for c in coverers if not c & b], limit - 1, loose)
+            pairs.update((t | b, b) for t in lows)
+
+    # bit j of above[idx]: tops[j] holds names[idx]; per top, its pairs
+    above = [sum(1 << j for j, top in enumerate(tops) if top >> idx & 1)
+             for idx in range(len(search.names))]
+    under_top = [[(p, b) for p, b in pairs if not p & ~top] for top in tops]
+
+    def verdict(s: int) -> Optional[int]:
+        under = (1 << len(tops)) - 1   # the tops that hold s
+        for idx in bits(s):
+            under &= above[idx]
+        if not under:
+            return None
+        kept = 0   # a pair within s lies under every top that holds s
+        for p, b in under_top[(under & -under).bit_length() - 1]:
+            if not p & ~s:
+                kept |= b
+        return kept
+
+    return verdict
+
+
 def _config_hash(shape, config: RunConfig) -> str:
     payload = json.dumps(
         {
@@ -366,6 +484,7 @@ class _Checkpoint:
         self.shape = list(shape)
         self.base: Optional[list[int]] = None   # is2
         self.layers: dict[int, list] = {}   # i -> [[mask, kept], ...]
+        self.lines: dict[int, int] = {}   # i -> the line number of layer i's record
         self.has_header = False
         self.torn_at: Optional[int] = None
         if path and os.path.exists(path):
@@ -410,6 +529,7 @@ class _Checkpoint:
                         if not (kept is None or type(kept) is int and kept | mask == mask):
                             raise ValueError(f"kept {kept!r} is not null or a subset of {mask}")
                     self.layers[i] = results
+                    self.lines[i] = lineno
                 else:
                     raise ValueError(f"unknown kind {kind!r}")
             except (KeyError, TypeError, ValueError) as e:   # ValueError: bad JSON too
@@ -467,6 +587,9 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
     layer_hi = len(names) if config.max_layer is None else min(config.max_layer, len(names))
     tr = layer_hi
     partial = False
+    # the verdicts of the layers that are not guessed
+    verdict = _border_verdicts(search, _coverers(names, total),
+                               min(layer_hi, total) if conjectural else layer_hi)
 
     prev: set[int] = set()   # the SE masks of the last layer
     for i in range(1, layer_hi + 1):
@@ -480,8 +603,14 @@ def discover(shape, config: Optional[RunConfig] = None) -> SearchReport:
             if guessed:
                 results = [(s, s & pool_mask) for s in cands]
             else:
-                results = [(s, _verify(search.select(s), s)) for s in cands]
+                results = [(s, verdict(s)) for s in cands]
             ckpt.record_layer(i, results)
+        elif not guessed:   # a logged verdict must be the border's
+            for s, kept in results:
+                if kept != verdict(s):
+                    logged, border = (json.dumps([s, v], separators=(",", ":")) for v in (kept, verdict(s)))
+                    raise CheckpointError(f"checkpoint {ckpt.path} line {ckpt.lines[i]}: layer {i} "
+                                          f"logs {logged}, but the border gives {border}")
         layer_mgic = [ISCondition(shape=shape, nis=members(s), sis=members(kept))
                       for s, kept in results if kept is not None]
         mgic.extend(layer_mgic)

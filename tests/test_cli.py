@@ -203,6 +203,11 @@ def test_discover_checkpoint_of_other_shape(tmp_path, capsys):
 
 # the base record of a 0-1-1 run: IS'' has 16 names, so a layer mask is below 2^16
 BASE_011 = '{"kind":"base","is2":[1,2,5,8,9,10,13,16,17,18,21,36,40,41,42,45]}'
+# its first two layer records; the first verdict of layer 2 says "not SE"
+LAYERS_011 = ('{"kind":"layer","i":1,"results":[[16,0]]}\n'
+              '{"kind":"layer","i":2,"results":[[32784,null],[16400,null],[8208,null],[4112,null],'
+              '[2064,0],[1040,null],[528,0],[272,null],[144,null],[80,0],[48,null],[24,null],'
+              '[20,0],[18,null],[17,0]]}')
 
 
 @pytest.mark.parametrize("case, bad_line", [
@@ -222,11 +227,14 @@ BASE_011 = '{"kind":"base","is2":[1,2,5,8,9,10,13,16,17,18,21,36,40,41,42,45]}'
                  id="a layer before the base"),
     pytest.param(BASE_011 + '\n{"kind":"layer","i":1,"results":[[16,0]]}' * 2, 4,
                  id="a layer twice"),
+    pytest.param(BASE_011 + "\n" + LAYERS_011.replace("[32784,null]", "[32784,0]"), 4,
+                 id="a verdict that the border does not give"),
 ])
 def test_discover_bad_checkpoint_is_an_error(case, bad_line, tmp_path, capsys):
     """A checkpoint that cannot be opened, or a complete line after the
-    header that is not a valid record of its kind or comes out of order,
-    exits 2 with one error line naming that line."""
+    header that is not a valid record of its kind, comes out of order or
+    logs a verdict that the border does not give, exits 2 with one error
+    line naming that line."""
     ck = tmp_path / "ck.jsonl"
     if case == "missing directory":
         ck = tmp_path / "missing" / "ck.jsonl"
@@ -240,6 +248,18 @@ def test_discover_bad_checkpoint_is_an_error(case, bad_line, tmp_path, capsys):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
     if bad_line is not None:
         assert f"{ck} line {bad_line}:" in err, err
+
+
+def test_discover_resumes_the_logged_layers(tmp_path, capsys):
+    """The unedited log of the bad-verdict case resumes after layer 2 to the
+    report of a run without a checkpoint."""
+    assert main(["discover", "0", "1", "1"]) == 0
+    want = capsys.readouterr().out
+    ck = tmp_path / "ck.jsonl"
+    header = {"kind": "header", "shape": [0, 1, 1], "config": _config_hash((0, 1, 1), ik.RunConfig())}
+    ck.write_text(json.dumps(header) + "\n" + BASE_011 + "\n" + LAYERS_011 + "\n")
+    assert main(["discover", "0", "1", "1", "--checkpoint", str(ck)]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_discover_max_layer_below_one(capsys):

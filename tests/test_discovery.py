@@ -8,7 +8,8 @@ from collections import Counter
 import pytest
 
 import isekit as ik
-from isekit.discovery import CheckpointError, _head_cover, _layer_candidates, _verify
+from isekit.discovery import (CheckpointError, _border, _border_verdicts, _coverers, _head_cover,
+                              _layer_candidates, _verify)
 from isekit.isets import CanonicalSearch
 
 
@@ -174,6 +175,138 @@ def test_layer_candidates_drops_sets_over_a_failed_subset():
     # {18, 33} does not remove {18, 33, 36}
     assert _candidates(names, 3, 2, [{18, 36}, {33, 36}]) == [(18, 33, 36)]
     assert _candidates(names, 3, 2, [{18, 36}]) == []
+
+
+def _submasks(universe):
+    s = universe
+    while True:
+        yield s
+        if not s:
+            return
+        s = (s - 1) & universe
+
+
+def test_border_matches_brute_force_on_random_antichains():
+    """`_border` alone, for "holds none of the antichain's sets": its
+    failures are the minimal failures that meet every edge, of at most
+    `limit` names; with no limit its tops are the maximal sets that hold and
+    meet every edge; with one, each is such a set, and the sets of at most
+    `limit` names that meet the edges and hold are those under a top."""
+    rng = random.Random(28)
+    for trial in range(80):
+        n = 16 if trial == 0 else rng.randint(1, 10)
+        spread = rng.sample(range(16), n)   # the universe need not be 0..n-1
+        universe = sum(1 << x for x in spread)
+
+        def some(lo, hi):
+            return sum(1 << x for x in rng.sample(spread, rng.randint(lo, min(hi, n))))
+
+        drawn = [some(1, 4) for _ in range(rng.randint(0, 8))]
+        antichain = {a for a in drawn if not any(b != a and not b & ~a for b in drawn)}
+        edges = [some(1, n) for _ in range(rng.randint(0, 3))]
+
+        def holds(s):
+            return all(a & ~s for a in antichain)
+
+        def meets(s):
+            return all(s & e for e in edges)
+
+        covered = [s for s in _submasks(universe) if meets(s)]
+        true = [s for s in covered if holds(s)]
+        tops = {s for s in true if not any(holds(s | 1 << x) for x in spread if not s >> x & 1)}
+        failures = {s for s in covered if not holds(s)
+                    and all(holds(s ^ 1 << x) or not meets(s ^ 1 << x) for x in spread if s >> x & 1)}
+        for limit in (n, 1, 2, 3, 4):
+            got_tops, got_failures = _border(universe, edges, limit, holds)
+            assert sorted(got_failures) == sorted(f for f in failures if f.bit_count() <= limit), trial
+            if limit == n:
+                assert sorted(got_tops) == sorted(tops), trial
+            else:
+                assert set(got_tops) <= tops, (trial, limit)
+                assert ({s for s in true if s.bit_count() <= limit}
+                        == {s for s in true if s.bit_count() <= limit
+                            and any(not s & ~t for t in got_tops)}), (trial, limit)
+
+
+class _ModelSearch:
+    """The questions of `CanonicalSearch` on a model: (S, sis) is SE iff S
+    holds none of the antichain's sets and no pair (p, b) with p within S
+    and b not in sis. A domain is the mask of the one-atom names."""
+
+    def __init__(self, n, antichain, pairs):
+        self.names, self.antichain, self.pairs = range(n), antichain, pairs
+
+    def select(self, mask):
+        self.selected, self.full = mask, 0
+        return self
+
+    def domains(self, sis):
+        return sis
+
+    def grow(self, domains, name):
+        return domains & ~name
+
+    def equivalent(self, domains):
+        s = self.selected
+        return (all(a & ~s for a in self.antichain)
+                and not any(not p & ~s and b & ~domains for p, b in self.pairs))
+
+
+def test_border_verdicts_match_verify_on_a_model_search():
+    """`_border_verdicts` against `_verify` on every covered set of at most
+    `limit` names, where the sets that keep a singleton come from random
+    minimal pairs."""
+    rng = random.Random(2028)
+    kept_seen = 0
+    for trial in range(60):
+        n = rng.randint(2, 9)
+
+        def some(lo, hi):
+            return sum(1 << x for x in rng.sample(range(n), rng.randint(lo, min(hi, n))))
+
+        antichain = [some(2, 4) for _ in range(rng.randint(0, 4))]
+        pairs = []
+        for _ in range(rng.randint(0, 4)):
+            p = some(1, 3)
+            pairs.append((p, 1 << rng.choice([x for x in range(n) if p >> x & 1])))
+        coverers = [some(1, n) for _ in range(rng.randint(1, 3))]
+        search = _ModelSearch(n, antichain, pairs)
+        for limit in (n, 2, 3):
+            verdict = _border_verdicts(search, coverers, limit)
+            for s in range(1 << n):
+                if s.bit_count() <= limit and all(s & c for c in coverers):
+                    want = _verify(search.select(s), s)
+                    assert verdict(s) == want, (trial, limit, s)
+                    kept_seen += bool(want)
+    assert kept_seen > 100
+
+
+def _layered_verdicts(shape, max_layer):
+    """Per layer, the candidates and their verdicts as the layered search
+    asked them, one `_verify` per candidate, with the report's stop test."""
+    total = sum(shape)
+    names = sorted((x for x in ik.base_name_universe(shape)
+                    if ik.verify_and_compute_mgse(shape, (x,), (x,)) is not None), reverse=True)
+    search = CanonicalSearch(shape, names, ik.Semantics.LPMLN)
+    layers, prev = [], set()
+    for i in range(1, max_layer + 1):
+        results = [(s, _verify(search.select(s), s)) for s in _layer_candidates(names, i, total, prev)]
+        layers.append(results)
+        prev = {s for s, kept in results if kept is not None}
+        if not prev and i >= total:
+            break
+    return names, search, layers
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 1), (1, 2, 0), (2, 1, 0), (1, 1, 1)],
+                         ids=["0-2-1", "1-2-0", "2-1-0", "1-1-1"])
+def test_border_verdicts_equal_the_layered_ones(shape):
+    """The verdicts that `discover` reads off the border are those of one
+    `_verify` per candidate, layer by layer, up to layer 3."""
+    names, search, layers = _layered_verdicts(shape, 3)
+    verdict = _border_verdicts(search, _coverers(names, sum(shape)), 3)
+    for i, results in enumerate(layers, 1):
+        assert [(s, verdict(s)) for s, _ in results] == results, (shape, i)
 
 
 def test_improved_matches_known_counts(sound_reports):
